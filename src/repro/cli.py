@@ -460,8 +460,6 @@ def _cmd_serve(args) -> int:
         allow_shutdown=args.allow_shutdown,
         peer_stores=peer_stores,
         replica_probes=args.replica_probes,
-        speculate=args.speculate,
-        speculative_limit=args.speculative_limit,
     )
 
     async def run() -> int:
@@ -531,8 +529,6 @@ def _cmd_serve_cluster(args) -> int:
         workers=args.workers,
         queue_limit=args.queue_limit,
         replica_probes=args.replica_probes,
-        speculate=args.speculate,
-        speculative_limit=args.speculative_limit,
         vnodes=args.vnodes,
         per_client_limit=args.per_client_limit,
         tenant_quotas=tenant_quotas,
@@ -622,18 +618,7 @@ def _cmd_client(args) -> int:
                 specs, want=args.want, window=args.window,
                 timeout=args.timeout * len(specs) + 60,
                 tenant=args.tenant,
-                want_upgrade=args.wait_upgrade,
             )
-            upgrades = {}
-            if args.wait_upgrade:
-                # Every opt-1 answer has a background recompile coming;
-                # collect the upgrade push frames before disconnecting
-                # (a disconnect would withdraw the pending jobs).
-                for index, response in enumerate(responses):
-                    if (response and response.get("ok")
-                            and response.get("tier") == "opt1"):
-                        upgrades[index] = await client.wait_upgrade(
-                            f"q{index}", timeout=args.timeout)
         except (ConnectionError, TimeoutError, asyncio.TimeoutError) as exc:
             print(f"gateway connection failed mid-run: {exc}", file=sys.stderr)
             return 2
@@ -661,12 +646,6 @@ def _cmd_client(args) -> int:
         ok = len(specs) - failed
         hits = sum(1 for r in responses if r and r.get("ok") and r.get("cached"))
         print(f"jobs={len(specs)} ok={ok} failed={failed} cache_hits={hits}")
-        if args.wait_upgrade:
-            landed = sum(1 for u in upgrades.values() if u.get("ok"))
-            lines = [f"{u.get('upgrade_ms', 0.0):.1f}ms"
-                     for u in upgrades.values() if u.get("ok")]
-            print(f"upgrades: pending={len(upgrades)} landed={landed} "
-                  f"({', '.join(lines) if lines else 'none'})")
         if args.out:
             with open(args.out, "w") as handle:
                 for response in responses:
@@ -852,13 +831,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "(pull-through replication) on a local disk miss")
     p.add_argument("--replica-probes", type=int, default=None,
                    help="max peers one miss consults (default: all)")
-    p.add_argument("--speculate", action="store_true",
-                   help="tiered speculative compilation: cold misses answer "
-                        "at the fast opt-1 tier and a background full-effort "
-                        "recompile upgrades the cache entry in place")
-    p.add_argument("--speculative-limit", type=int, default=8,
-                   help="cap on queued background upgrade jobs (default 8; "
-                        "overflow is dropped, not buffered)")
     p.set_defaults(func=_cmd_serve)
 
     p = sub.add_parser(
@@ -890,10 +862,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "(repeatable)")
     p.add_argument("--allow-shutdown", action="store_true",
                    help="honor the protocol 'shutdown' verb at the router")
-    p.add_argument("--speculate", action="store_true",
-                   help="enable tiered speculative compilation on every node")
-    p.add_argument("--speculative-limit", type=int, default=8,
-                   help="per-node cap on queued background upgrades")
     p.set_defaults(func=_cmd_serve_cluster)
 
     p = sub.add_parser(
@@ -926,10 +894,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write one JSONL response row per input job")
     p.add_argument("--stats", action="store_true",
                    help="print the gateway's stats verb instead of compiling")
-    p.add_argument("--wait-upgrade", action="store_true",
-                   help="subscribe to speculative upgrade push frames and "
-                        "wait for the background opt-3 recompiles to land "
-                        "before exiting (needs a --speculate server)")
     p.set_defaults(func=_cmd_client)
 
     p = sub.add_parser("table1", help="regenerate Table 1")

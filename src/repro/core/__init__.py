@@ -34,6 +34,7 @@ from .scheduling import (
 )
 from .streaming import (
     DEFAULT_WINDOW,
+    scheduler_pass,
     stream_schedule,
     streaming_do_schedule,
     streaming_gco_schedule,
@@ -83,6 +84,7 @@ __all__ = [
     "sc_pipeline",
     "schedule_depth_estimate",
     "schedule_to_program",
+    "scheduler_pass",
     "stream_schedule",
     "streaming_do_schedule",
     "streaming_gco_schedule",

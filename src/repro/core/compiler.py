@@ -93,10 +93,6 @@ class CompilationResult:
     verification: Optional["VerificationReport"] = None
     #: Registry name of the target device; set when compiled with one.
     device: Optional[str] = None
-    #: Quality tier this result was compiled at ("full" unless a
-    #: ``peephole_level`` override lowered the effort).  Execution
-    #: effort only — never part of the cache fingerprint.
-    tier: str = "full"
     #: Provenance: the shipped pipeline this compilation corresponds to
     #: (e.g. ``"ft-gco-opt3"``); ``None`` for results built by hand.
     pipeline: Optional[str] = None
@@ -149,7 +145,6 @@ def compile_program(
     cache: Optional["CompileCache"] = None,
     verify: bool = False,
     cancel: Optional[Callable[[], bool]] = None,
-    peephole_level: Optional[int] = None,
 ) -> CompilationResult:
     """Compile a Pauli IR program with Paulihedral.
 
@@ -189,7 +184,9 @@ def compile_program(
         Optional :class:`~repro.service.cache.CompileCache`.  The program
         and options are content-fingerprinted; on a hit the stored artifact
         is deserialized and returned (``result.from_cache`` is ``True``),
-        on a miss the compilation runs and its artifact is stored.
+        on a miss the compilation runs and its artifact is stored.  A
+        stored artifact that no longer decodes (corrupt, or a stale
+        version the codec rejects) is recompiled and overwritten.
     verify:
         Run the Pauli-propagation verifier (:mod:`repro.verify`) on the
         result — including cache hits, so a corrupted artifact can never
@@ -204,18 +201,6 @@ def compile_program(
         caller-liveness signal, not a compile option — it never enters
         the fingerprint.  A cache hit is returned even when ``cancel``
         already fires (serving it is cheaper than checking).
-    peephole_level:
-        Execution-effort override for the speculative fast tier.  ``None``
-        (the default) runs the full peephole fixpoint when
-        ``run_peephole`` is set; an integer runs only the level's rule
-        subset (see :func:`repro.static.contracts.rules_for_level`), so
-        level 1 is cancel+merge only.  Like ``cancel``, this is effort
-        and not identity: it never enters the fingerprint.  A result
-        produced at a reduced level carries ``tier="opt<level>"`` and is
-        stored tier-aware (:meth:`CompileCache.put_tiered`), so it can
-        only ever be *upgraded*, never served in place of a stored
-        higher-tier artifact — a cache hit below the requested tier is
-        treated as a miss and recompiled.
     """
     coupling, edge_error, noise_model, device_name = resolve_target(
         coupling=coupling, edge_error=edge_error,
@@ -231,20 +216,10 @@ def compile_program(
     else:
         raise ValueError(f"unknown backend {backend!r}; expected 'ft' or 'sc'")
 
-    # Effort level actually executed: 0 with peephole off, the override
-    # when one is given, else the full fixpoint (level 3).
-    if not run_peephole:
-        effort = 0
-    elif peephole_level is None:
-        effort = 3
-    else:
-        effort = max(0, min(3, int(peephole_level)))
-    tier = "full" if effort >= 3 or not run_peephole else f"opt{effort}"
-
     fingerprint: Optional[str] = None
     if cache is not None:
         # Deferred import: repro.service depends on this module.
-        from ..service.artifact import dumps_artifact, loads_artifact, tier_rank
+        from ..service.artifact import dumps_artifact, loads_artifact
         from ..service.fingerprint import canonical_options, compile_fingerprint
 
         fingerprint = compile_fingerprint(
@@ -268,11 +243,6 @@ def compile_program(
                 # Stale artifact version or corrupted entry: a cache hit
                 # must never be worse than a miss — recompile and overwrite.
                 result = None
-            if result is not None and tier_rank(result.tier) < tier_rank(tier):
-                # The stored artifact is a lower tier than this call wants
-                # (e.g. a speculative opt-1 placeholder found by the full
-                # background recompile): treat it as a miss.
-                result = None
             if result is not None:
                 result.fingerprint = fingerprint
                 result.from_cache = True
@@ -284,7 +254,7 @@ def compile_program(
     if backend == "ft":
         ft_result = ft_compile(
             program, scheduler=resolved_scheduler, run_peephole=run_peephole,
-            cancel=cancel, peephole_level=peephole_level,
+            cancel=cancel,
         )
         result = CompilationResult(
             circuit=ft_result.circuit,
@@ -302,7 +272,6 @@ def compile_program(
             run_peephole=run_peephole,
             restarts=restarts,
             cancel=cancel,
-            peephole_level=peephole_level,
         )
         result = CompilationResult(
             circuit=sc_result.circuit,
@@ -314,16 +283,9 @@ def compile_program(
             device=device_name,
         )
     result.fingerprint = fingerprint
-    result.tier = tier
-    result.pipeline = f"{backend}-{resolved_scheduler}-opt{effort}"
+    result.pipeline = f"{backend}-{resolved_scheduler}-opt{3 if run_peephole else 0}"
     if cache is not None:
-        if tier == "full":
-            cache.put(fingerprint, dumps_artifact(result))
-        else:
-            # Reduced-tier results publish through the never-downgrade
-            # path: a concurrent full compile must not be clobbered by a
-            # speculative placeholder.
-            cache.put_tiered(fingerprint, dumps_artifact(result), tier)
+        cache.put(fingerprint, dumps_artifact(result))
     return _maybe_verify(program, result, verify)
 
 

@@ -39,10 +39,10 @@ from ..ir import PauliProgram
 from ..pauli import PauliString
 from ..pauli.symplectic import PauliTable, popcount
 from ..static.invariants import debug_check
-from ..transpile import optimize, run_rules
+from ..transpile import optimize
 from .cancellation import check_cancel
-from .scheduling import Schedule, do_schedule, gco_schedule
-from .streaming import is_streaming_scheduler, stream_schedule
+from .scheduling import Schedule
+from .streaming import is_streaming_scheduler, scheduler_pass
 from .synthesis import SynthesisPlan, aligned_chain_plan, pauli_rotation_gates
 
 __all__ = [
@@ -334,7 +334,6 @@ def ft_compile(
     run_peephole: bool = True,
     junction_policy: str = "paired",
     cancel: Optional[Callable[[], bool]] = None,
-    peephole_level: Optional[int] = None,
 ) -> FTResult:
     """Full FT flow: schedule, adaptively synthesize, peephole-optimize.
 
@@ -345,22 +344,10 @@ def ft_compile(
     memory and releases each block's view after its terms are flattened
     — the path for 10^5-10^6-term programs.  ``junction_policy`` is
     forwarded to :func:`ft_synthesize`; ``cancel`` is polled between
-    passes (see :mod:`repro.core.cancellation`).  ``peephole_level``
-    (``None`` = full fixpoint) restricts the cleanup to the level's rule
-    subset — the speculative fast tier compiles at level 1
-    (cancel+merge, no commute/fuse search).
+    passes (see :mod:`repro.core.cancellation`).
     """
     streaming = is_streaming_scheduler(scheduler)
-    if streaming:
-        schedule = stream_schedule(program, scheduler)
-    elif scheduler == "gco":
-        schedule = gco_schedule(program)
-    elif scheduler == "do":
-        schedule = do_schedule(program)
-    elif scheduler == "none":
-        schedule = [[block] for block in program]
-    else:
-        raise ValueError(f"unknown scheduler {scheduler!r}")
+    schedule = scheduler_pass(scheduler, materialize=False)(program)
     check_cancel(cancel, "after scheduling")
     debug_check("ft: schedule", program=program)
     terms = _flatten_schedule(schedule, release=streaming)
@@ -368,20 +355,6 @@ def ft_compile(
     check_cancel(cancel, "after synthesis")
     debug_check("ft: synthesize", tape=circuit.tape)
     if run_peephole:
-        circuit = _peephole(circuit, peephole_level)
+        circuit = optimize(circuit)
         debug_check("ft: peephole", tape=circuit.tape)
     return FTResult(circuit, terms)
-
-
-def _peephole(
-    circuit: QuantumCircuit, level: Optional[int]
-) -> QuantumCircuit:
-    """Full fixpoint at ``level=None``/``>=3``, else the level's subset."""
-    if level is None or level >= 3:
-        return optimize(circuit)
-    if level <= 0:
-        return circuit
-    out, _ = run_rules(
-        circuit, cancel=True, merge=True, commute=level >= 2, fuse=False
-    )
-    return out

@@ -29,16 +29,15 @@ from ..static.invariants import debug_check
 from ..transpile import CouplingMap, optimize
 from .ft_backend import _flatten_schedule, ft_synthesize
 from .sc_backend import SCSynthesizer
-from .scheduling import Schedule, do_schedule, gco_schedule
-from .streaming import is_streaming_scheduler, stream_schedule
+from .scheduling import Schedule
+from .streaming import scheduler_pass
 
 __all__ = ["PipelineResult", "PassPipeline", "ft_pipeline", "sc_pipeline"]
 
 # Bind the stock pass callables to their declared contracts so custom
 # pipelines assembled from them are checked precisely; unregistered
-# callables fall back to the conservative slot defaults.
-register_callable(gco_schedule, "schedule_gco")
-register_callable(do_schedule, "schedule_do")
+# callables fall back to the conservative slot defaults.  (The schedule
+# passes are bound where they are dispatched, in core/streaming.py.)
 register_callable(optimize, "peephole")
 
 _CHECKER = PipelineChecker()
@@ -129,29 +128,9 @@ class PassPipeline:
         return PipelineResult(circuit, schedule, sizes, metadata)
 
 
-def _resolve_schedule_pass(scheduler: str):
-    """Map a scheduler name to its pass callable; streaming variants are
-    wrapped to materialize the layer structure (pipelines hand the
-    schedule to consumers that may walk it more than once) while keeping
-    the O(window) profile memory of the streaming scan itself."""
-    table = {"gco": gco_schedule, "do": do_schedule}
-    if scheduler in table:
-        return table[scheduler]
-    if is_streaming_scheduler(scheduler):
-        def schedule_pass(program: PauliProgram) -> Schedule:
-            return [list(layer) for layer in stream_schedule(program, scheduler)]
-
-        return register_callable(
-            schedule_pass, f"schedule_{scheduler.replace('-', '_')}"
-        )
-    return None
-
-
 def ft_pipeline(scheduler: str = "gco", peephole: bool = True) -> PassPipeline:
     """The stock fault-tolerant flow as a pipeline object."""
-    schedule_pass = _resolve_schedule_pass(scheduler)
-    if schedule_pass is None:
-        raise ValueError(f"unknown scheduler {scheduler!r}")
+    schedule_pass = scheduler_pass(scheduler)
 
     def synthesis(schedule: Schedule, program: PauliProgram):
         terms = _flatten_schedule(schedule)
@@ -175,9 +154,7 @@ def sc_pipeline(
     peephole: bool = True,
 ) -> PassPipeline:
     """The stock superconducting flow as a pipeline object."""
-    schedule_pass = _resolve_schedule_pass(scheduler)
-    if schedule_pass is None:
-        raise ValueError(f"unknown scheduler {scheduler!r}")
+    schedule_pass = scheduler_pass(scheduler)
 
     def synthesis(schedule: Schedule, program: PauliProgram):
         synthesizer = SCSynthesizer(coupling, edge_error)

@@ -45,12 +45,11 @@ from ..transpile import (
     Layout,
     dense_initial_layout,
     optimize,
-    run_rules,
     validate_routed,
 )
 from .cancellation import check_cancel
-from .scheduling import Schedule, do_schedule, gco_schedule
-from .streaming import is_streaming_scheduler, stream_schedule
+from .scheduling import Schedule
+from .streaming import is_streaming_scheduler, scheduler_pass
 
 __all__ = ["SCResult", "EmbeddedTree", "sc_compile", "SCSynthesizer"]
 
@@ -500,7 +499,6 @@ def sc_compile(
     restarts: int = 1,
     seed: int = 7,
     cancel: Optional[Callable[[], bool]] = None,
-    peephole_level: Optional[int] = None,
 ) -> SCResult:
     """Full SC flow: schedule, tree-embedded synthesis, peephole cleanup.
 
@@ -512,26 +510,15 @@ def sc_compile(
     attempt is always the un-jittered layout).  The returned circuit acts on
     physical qubits and respects the coupling map (validated on return).
     ``cancel`` is polled after scheduling and between restart attempts
-    (see :mod:`repro.core.cancellation`).  ``peephole_level`` (``None``
-    = full fixpoint) restricts the cleanup to the level's rule subset —
-    the speculative fast tier compiles at level 1.
+    (see :mod:`repro.core.cancellation`).
     """
     streaming = is_streaming_scheduler(scheduler)
-    if streaming:
-        # The SC pass walks the schedule twice (interaction-aware layout,
-        # then synthesis) and restarts re-run it, so the streamed layer
-        # *structure* is materialized — but block views are not: the
-        # streaming scheduler never realizes them for singleton blocks,
-        # and release_views drops each one after synthesis.
-        schedule = [list(layer) for layer in stream_schedule(program, scheduler)]
-    elif scheduler == "do":
-        schedule = do_schedule(program)
-    elif scheduler == "gco":
-        schedule = gco_schedule(program)
-    elif scheduler == "none":
-        schedule = [[block] for block in program]
-    else:
-        raise ValueError(f"unknown scheduler {scheduler!r}")
+    # The SC pass walks the schedule twice (interaction-aware layout, then
+    # synthesis) and restarts re-run it, so a streamed layer *structure*
+    # is materialized — but block views are not: the streaming scheduler
+    # never realizes them for singleton blocks, and release_views drops
+    # each one after synthesis.
+    schedule = scheduler_pass(scheduler)(program)
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
     check_cancel(cancel, "after scheduling")
@@ -547,17 +534,8 @@ def sc_compile(
         )
         result = synthesizer.run(schedule, program.num_qubits)
         if run_peephole:
-            if peephole_level is None or peephole_level >= 3:
-                cleaned = optimize(result.circuit)
-            elif peephole_level <= 0:
-                cleaned = result.circuit
-            else:
-                cleaned, _ = run_rules(
-                    result.circuit, cancel=True, merge=True,
-                    commute=peephole_level >= 2, fuse=False,
-                )
             result = SCResult(
-                cleaned,
+                optimize(result.circuit),
                 result.initial_layout,
                 result.final_layout,
                 result.emitted_terms,

@@ -39,13 +39,14 @@ only limits how far ahead the scheduler may look for the best primary.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import Callable, Iterable, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
 from ..ir import PauliBlock, PauliProgram
 from ..pauli.symplectic import lex_rank_matrix, popcount
 from ..static.contracts import register_callable
+from .scheduling import Schedule, do_schedule, gco_schedule
 
 __all__ = [
     "DEFAULT_WINDOW",
@@ -55,6 +56,7 @@ __all__ = [
     "streaming_do_schedule",
     "stream_schedule",
     "is_streaming_scheduler",
+    "scheduler_pass",
 ]
 
 #: Frontier size for :func:`streaming_do_schedule`.  4096 profile rows at
@@ -356,15 +358,59 @@ def stream_schedule(
 ) -> Iterator[List[PauliBlock]]:
     """Dispatch to a streaming scheduler by name (``gco[-stream]`` /
     ``do[-stream]``), returning the incremental layer iterator."""
+    return _streaming_scheduler(scheduler)(source, window=window)
+
+
+def _streaming_scheduler(scheduler: str) -> Callable:
     try:
-        fn = _STREAM_SCHEDULERS[scheduler]
+        return _STREAM_SCHEDULERS[scheduler]
     except KeyError:
         raise ValueError(
             f"unknown streaming scheduler {scheduler!r}; "
             f"expected one of {sorted(_STREAM_SCHEDULERS)}"
         ) from None
-    return fn(source, window=window)
 
 
 register_callable(streaming_gco_schedule, "schedule_gco_stream")
 register_callable(streaming_do_schedule, "schedule_do_stream")
+
+
+def _program_order(program: PauliProgram) -> Schedule:
+    """Program order, one block per layer (the ``none`` ablation baseline)."""
+    return [[block] for block in program]
+
+
+def _materialize(streaming: Callable, contract: str) -> Callable:
+    def schedule_pass(program: PauliProgram) -> Schedule:
+        return [list(layer) for layer in streaming(program)]
+
+    return register_callable(schedule_pass, contract)
+
+
+_SCHEDULE_PASSES = {
+    "gco": register_callable(gco_schedule, "schedule_gco"),
+    "do": register_callable(do_schedule, "schedule_do"),
+    "none": register_callable(_program_order, "schedule_none"),
+}
+_MATERIALIZED_STREAMS = {
+    "gco-stream": _materialize(streaming_gco_schedule, "schedule_gco_stream"),
+    "do-stream": _materialize(streaming_do_schedule, "schedule_do_stream"),
+}
+
+
+def scheduler_pass(scheduler: str, materialize: bool = True) -> Callable:
+    """The schedule pass a scheduler name selects: ``gco``, ``do``,
+    ``none`` (program order) or a streaming ``gco-stream``/``do-stream``.
+
+    A streaming pass returns its lazy layer iterator when ``materialize``
+    is off; with it on (the default) the layer *structure* is collected
+    into a list for consumers that walk the schedule more than once,
+    while the scan itself keeps its O(window) profile memory.
+    """
+    if is_streaming_scheduler(scheduler):
+        streaming = _streaming_scheduler(scheduler)
+        return _MATERIALIZED_STREAMS[scheduler] if materialize else streaming
+    try:
+        return _SCHEDULE_PASSES[scheduler]
+    except (KeyError, TypeError):
+        raise ValueError(f"unknown scheduler {scheduler!r}") from None

@@ -11,9 +11,6 @@ a long-running admission-controlled streaming daemon.
 from .artifact import (
     ARTIFACT_VERSION,
     OLDEST_SUPPORTED_VERSION,
-    TIER_FAST,
-    TIER_FULL,
-    artifact_tier,
     circuit_from_dict,
     circuit_to_dict,
     dumps_artifact,
@@ -22,7 +19,6 @@ from .artifact import (
     program_to_dict,
     result_from_dict,
     result_to_dict,
-    tier_rank,
 )
 from .batch import BatchEntry, BatchResult, compile_batch, resolve_spec
 from .cache import CacheStats, CompileCache
@@ -49,10 +45,6 @@ __all__ = [
     "FINGERPRINT_VERSION",
     "OLDEST_SUPPORTED_VERSION",
     "PROTOCOL_VERSION",
-    "TIER_FAST",
-    "TIER_FULL",
-    "artifact_tier",
-    "tier_rank",
     "BatchEntry",
     "BatchResult",
     "CacheStats",

@@ -30,10 +30,6 @@ from ..transpile import Layout
 __all__ = [
     "ARTIFACT_VERSION",
     "OLDEST_SUPPORTED_VERSION",
-    "TIER_FULL",
-    "TIER_FAST",
-    "tier_rank",
-    "artifact_tier",
     "circuit_to_dict",
     "circuit_from_dict",
     "result_to_dict",
@@ -45,54 +41,19 @@ __all__ = [
 ]
 
 #: v2 added the target ``device`` name (noise-aware compile path); v3
-#: adds the quality ``tier`` and ``pipeline`` provenance (tiered /
-#: speculative compilation).  All three versions stay decodable: the
-#: added fields default (tier ``"full"``, pipeline/device ``None``), so
-#: a v1 or v2 artifact reads as a full-effort result — which it is.
-ARTIFACT_VERSION = 3
+#: added ``pipeline`` provenance and a quality ``tier``; v4 drops the
+#: tier again (every compile runs the full pipeline).  Older versions
+#: stay decodable: the added fields default (pipeline/device ``None``),
+#: so a v1 or v2 artifact reads as the full-effort result it is.  A v3
+#: document whose tier is not ``"full"`` was compiled at reduced effort
+#: and is rejected as stale, so caches recompile and overwrite it.
+ARTIFACT_VERSION = 4
 
 #: The true decode floor.  Every decode path that does not pass an
 #: explicit ``oldest`` gets this, not ``ARTIFACT_VERSION`` — defaulting
 #: to the current version silently rejected still-supported payloads
 #: whenever a caller forgot the argument.
 OLDEST_SUPPORTED_VERSION = 1
-
-#: Artifact quality tiers.  ``full`` is the complete pipeline (all
-#: peephole rules to fixpoint, all placement restarts); ``opt1`` is the
-#: speculative fast tier (cancel+merge only, single placement attempt).
-#: The tier is *execution effort*, never cache identity: an opt-1 and a
-#: full artifact for the same (program, options) share one fingerprint,
-#: and the cache upgrades the entry in place.
-TIER_FULL = "full"
-TIER_FAST = "opt1"
-
-#: Tier → quality rank for the cache's compare-and-swap upgrade path.
-#: Unknown tiers rank below everything so a recognizable artifact can
-#: always replace a mangled one.
-_TIER_RANKS = {"opt0": 0, "opt1": 1, "opt2": 2, "opt3": 3, "full": 3}
-
-
-def tier_rank(tier: Optional[str]) -> int:
-    """Quality rank of a tier name; unknown/missing ranks lowest."""
-    return _TIER_RANKS.get(tier, -1)
-
-
-def artifact_tier(document) -> str:
-    """The tier of a stored artifact (JSON text or decoded dict).
-
-    v1/v2 artifacts carry no tier field and were compiled at full effort,
-    so they report ``"full"``.  Unparseable text reports ``""`` (rank
-    below every real tier) so a valid artifact may replace it.
-    """
-    if isinstance(document, str):
-        try:
-            document = json.loads(document)
-        except ValueError:
-            return ""
-    if not isinstance(document, dict):
-        return ""
-    tier = document.get("tier", TIER_FULL)
-    return tier if isinstance(tier, str) else ""
 
 
 def _check_version(
@@ -212,7 +173,6 @@ def result_to_dict(result: CompilationResult) -> Dict:
         "kind": "compilation_result",
         "backend": result.backend,
         "scheduler": result.scheduler,
-        "tier": result.tier,
         "pipeline": result.pipeline,
         "circuit": circuit_to_dict(result.circuit),
         "emitted_terms": _terms_to_dict(result.emitted_terms),
@@ -228,6 +188,11 @@ def result_from_dict(payload: Dict) -> CompilationResult:
         raise ValueError(
             f"expected a compilation_result artifact, got {payload.get('kind')!r}"
         )
+    if payload.get("tier", "full") != "full":
+        raise ValueError(
+            f"stale artifact: compiled at reduced effort "
+            f"(tier {payload['tier']!r}); recompile it"
+        )
     return CompilationResult(
         circuit=circuit_from_dict(payload["circuit"]),
         backend=payload["backend"],
@@ -236,7 +201,6 @@ def result_from_dict(payload: Dict) -> CompilationResult:
         initial_layout=_layout_from_list(payload.get("initial_layout")),
         final_layout=_layout_from_list(payload.get("final_layout")),
         device=payload.get("device"),
-        tier=payload.get("tier", TIER_FULL),
         pipeline=payload.get("pipeline"),
     )
 

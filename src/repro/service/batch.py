@@ -228,22 +228,7 @@ def _worker_compile(payload: Tuple) -> Tuple[str, Optional[str], float,
     ``payload`` is ``(fingerprint, program_dict, options)`` plus an
     optional fourth ``cancel_path`` element: when given, the compile
     aborts cooperatively as soon as that flag file appears (the gateway
-    touches it when every client waiting on the job has gone away).  An
-    optional fifth ``tier`` element selects the speculative fast pass:
-    ``"opt1"`` compiles with peephole level 1 and a single placement
-    attempt (the gateway's answer-now tier; the full recompile follows
-    in its background lane), while ``"opt3"`` is that background
-    recompile: a full-effort compile whose artifact is published as a
-    compare-and-swap *upgrade* of the request fingerprint.
-
-    Tiered payloads bypass ``compile_program``'s own cache plumbing and
-    publish explicitly under the *request* fingerprint: the fast pass
-    alters compile options (restarts, peephole level), so the compiler's
-    internally derived fingerprint would differ from the key the gateway
-    serves under, and the upgrade pass must go through the cache's CAS
-    (``upgrade``) so a concurrent full-effort publish is never clobbered
-    and the parent can detect landed upgrades from the worker's
-    ``upgraded`` counter delta.
+    touches it when every client waiting on the job has gone away).
 
     Returns ``(fingerprint, artifact_or_None, seconds, metrics_or_None,
     worker_stats_delta, pid)``; the artifact is ``None`` when the job was
@@ -253,22 +238,15 @@ def _worker_compile(payload: Tuple) -> Tuple[str, Optional[str], float,
 
     fingerprint, program_dict, options = payload[:3]
     cancel_path = payload[3] if len(payload) > 3 else None
-    tier = payload[4] if len(payload) > 4 else None
     cancel = None
     if cancel_path is not None:
         cancel = lambda: os.path.exists(cancel_path)  # noqa: E731
-    kwargs = _option_kwargs(options)
-    if tier == "opt1":
-        kwargs["restarts"] = 1
-        kwargs["peephole_level"] = 1
     program = program_from_dict(program_dict)
     start = time.perf_counter()
     try:
         result = compile_program(
-            program,
-            cache=None if tier is not None else _WORKER_CACHE,
-            cancel=cancel,
-            **kwargs,
+            program, cache=_WORKER_CACHE, cancel=cancel,
+            **_option_kwargs(options)
         )
     except CompilationCancelled:
         return (fingerprint, None, time.perf_counter() - start, None,
@@ -276,13 +254,7 @@ def _worker_compile(payload: Tuple) -> Tuple[str, Optional[str], float,
     elapsed = time.perf_counter() - start
     if result.fingerprint is None:
         result.fingerprint = fingerprint
-    text = dumps_artifact(result)
-    if tier is not None and _WORKER_CACHE is not None:
-        if tier == "opt3":
-            _WORKER_CACHE.upgrade(fingerprint, text)
-        else:
-            _WORKER_CACHE.put_tiered(fingerprint, text, result.tier)
-    return (fingerprint, text, elapsed, result.metrics,
+    return (fingerprint, dumps_artifact(result), elapsed, result.metrics,
             _worker_stats_delta(), os.getpid())
 
 

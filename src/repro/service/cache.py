@@ -72,15 +72,6 @@ class CacheStats:
     #: store (cluster replication); every ``pulled`` is also counted in
     #: ``disk_hits``, so the hits/misses/lookups ledger is unchanged.
     pulled: int = 0
-    #: Tiered publishes (:meth:`CompileCache.put_tiered` /
-    #: :meth:`CompileCache.upgrade`) that replaced a same-fingerprint
-    #: lower-tier entry in place.
-    upgraded: int = 0
-    #: Tiered publishes refused because an equal-or-better artifact was
-    #: already stored (the compare-and-swap lost).  Every tiered publish
-    #: lands in exactly one of ``puts`` / ``upgraded`` /
-    #: ``stale_upgrades``, so the write ledger stays reconciling.
-    stale_upgrades: int = 0
 
     def __post_init__(self):
         self._lock = threading.Lock()
@@ -164,10 +155,9 @@ class CompileCache:
         self.stats = CacheStats()
         self._memory: "OrderedDict[str, str]" = OrderedDict()
         self._lock = threading.Lock()
-        #: Serializes *mutations* of the disk tier (put/adopt/discard and
-        #: the tiered compare-and-swap) within this process, so a discard
-        #: can never unlink bytes a concurrent publisher just wrote and an
-        #: upgrade's read-compare-write is atomic.  Separate from
+        #: Serializes *mutations* of the disk tier (put/adopt/discard)
+        #: within this process, so a discard can never unlink bytes a
+        #: concurrent publisher just wrote.  Separate from
         #: ``_lock`` so MB-sized artifact writes never stall the memory
         #: front's hit path.  Reads stay lock-free (publishes are atomic
         #: renames).  Lock order where both are held: ``_disk_lock``
@@ -239,54 +229,34 @@ class CompileCache:
 
     def pull_through(self, fingerprint: str) -> Optional[str]:
         """Probe up to ``replica_probes`` peer stores for the key and
-        replicate the *highest-tier* hit into this store (blocking).
+        replicate the first hit into this store (blocking).
 
         Returns the artifact text, counted as ``disk_hits`` + ``pulled``,
         or ``None`` when no consulted replica holds it (nothing is
-        counted — the caller owns the miss).  When replicas disagree on
-        quality (one holds a speculative opt-1 placeholder, another the
-        full artifact) the best tier wins; the probe stops early once a
-        full-tier copy is found, since nothing can rank higher.  The
-        local publish uses the exclusive link so two nodes pulling one
-        key into one store never double-write, and a memory-only cache
-        simply adopts the bytes into its LRU front.
+        counted — the caller owns the miss).  The local publish uses the
+        exclusive link so two nodes pulling one key into one store never
+        double-write, and a memory-only cache simply adopts the bytes
+        into its LRU front.
         """
-        # Deferred import: keep the cache importable without the artifact
-        # codec's circuit stack (the contention battery's subprocess
-        # script imports this module alone).
-        from .artifact import TIER_FULL, artifact_tier, tier_rank
-
-        best: Optional[str] = None
-        best_rank = -2
         for peer in self.peer_roots[:self.replica_probes]:
             try:
                 text = self._key_path(peer, fingerprint).read_text()
-            except (FileNotFoundError, NotADirectoryError):
-                continue
             except OSError:
-                continue   # peer store unreadable: treat as a miss there
-            rank = tier_rank(artifact_tier(text))
-            if rank > best_rank:
-                best, best_rank = text, rank
-            if best_rank >= tier_rank(TIER_FULL):
-                break      # nothing ranks higher: stop probing
-        if best is None:
-            return None
-        if self.root is not None:
-            with self._disk_lock:
-                self._write_disk(fingerprint, best, exclusive=True)
-        with self._lock:
-            self.stats.add(disk_hits=1, pulled=1)
-            self._remember(fingerprint, best)
-        return best
+                continue   # absent or unreadable there: try the next peer
+            if self.root is not None:
+                with self._disk_lock:
+                    self._write_disk(fingerprint, text, exclusive=True)
+            with self._lock:
+                self.stats.add(disk_hits=1, pulled=1)
+                self._remember(fingerprint, text)
+            return text
+        return None
 
     def put(self, fingerprint: str, text: str) -> None:
         """Store artifact text under ``fingerprint`` in both tiers.
 
-        Full-effort publish: last writer wins, which is safe because
-        content addressing makes racing full-tier writers byte-identical
-        and nothing ranks above full.  Lower-tier writers must go
-        through :meth:`put_tiered` instead.
+        Last writer wins, which is safe because content addressing makes
+        racing writers of one key byte-identical.
         """
         if self.root is not None:
             with self._disk_lock:
@@ -364,69 +334,6 @@ class CompileCache:
                 if removed:
                     self.stats.add(discards=1)
         return removed
-
-    def put_tiered(self, fingerprint: str, text: str, tier: str) -> bool:
-        """Publish a tiered artifact unless an equal-or-better one is
-        already stored.  ``True`` if ``text`` is now the stored entry.
-
-        This is the speculative fast path's store: an opt-1 placeholder
-        must never clobber a full artifact another writer landed first.
-        Counted as ``puts`` when the key was empty, ``upgraded`` when a
-        lower tier was replaced, ``stale_upgrades`` when the CAS lost.
-        """
-        return self._publish_tiered(fingerprint, text, tier,
-                                    fresh_counter="puts")
-
-    def upgrade(self, fingerprint: str, text: str,
-                tier: str = "full") -> bool:
-        """Compare-and-swap upgrade: replace a same-fingerprint entry of
-        *strictly lower* tier with ``text``, in place.
-
-        ``True`` when the upgrade landed (counted as ``upgraded``);
-        ``False`` when an equal-or-better artifact was already stored —
-        e.g. a concurrent cold compile at full effort beat the background
-        lane to the key — counted as ``stale_upgrades`` and the existing
-        entry is left untouched.  An upgrade of an *empty* key also
-        lands (counted ``upgraded``): the entry it raced was discarded,
-        and the full artifact is still worth keeping.
-        """
-        return self._publish_tiered(fingerprint, text, tier,
-                                    fresh_counter="upgraded")
-
-    def _publish_tiered(self, fingerprint: str, text: str, tier: str,
-                        fresh_counter: str) -> bool:
-        """Rank-checked publish shared by :meth:`put_tiered` /
-        :meth:`upgrade`; ``fresh_counter`` names the stat bumped when the
-        key was empty."""
-        from .artifact import artifact_tier, tier_rank
-        with self._disk_lock:
-            current = self._read_current(fingerprint)
-            if current is not None and (
-                    tier_rank(artifact_tier(current)) >= tier_rank(tier)):
-                with self._lock:
-                    self.stats.add(stale_upgrades=1)
-                    self._remember(fingerprint, current)
-                return False
-            if self.root is not None:
-                self._write_disk(fingerprint, text)
-            with self._lock:
-                if current is None:
-                    self.stats.add(**{fresh_counter: 1})
-                else:
-                    self.stats.add(upgraded=1)
-                self._remember(fingerprint, text)
-        return True
-
-    def _read_current(self, fingerprint: str) -> Optional[str]:
-        """Current stored bytes for the key, disk tier authoritative.
-        Caller holds ``_disk_lock`` (this is the CAS read)."""
-        if self.root is not None:
-            try:
-                return self._path(fingerprint).read_text()
-            except (FileNotFoundError, NotADirectoryError):
-                return None
-        with self._lock:
-            return self._memory.get(fingerprint)
 
     def _remember(self, fingerprint: str, text: str) -> None:
         """Insert into the LRU front, evicting beyond capacity.  Caller

@@ -201,10 +201,6 @@ class NodeSpec:
     #: Peer store directories this node probes on a local miss.
     peer_stores: Tuple[str, ...] = ()
     replica_probes: Optional[int] = None
-    #: Tiered speculative compilation on this node (opt-1 answer now,
-    #: background opt-3 upgrade).
-    speculate: bool = False
-    speculative_limit: int = 8
 
 
 @dataclass
@@ -243,8 +239,6 @@ def plan_cluster(state_dir: os.PathLike, nodes: int = 3, workers: int = 1,
                  queue_limit: int = 64,
                  node_per_client_limit: Optional[int] = None,
                  replica_probes: Optional[int] = None,
-                 speculate: bool = False,
-                 speculative_limit: int = 8,
                  **router_kwargs) -> ClusterConfig:
     """Lay out an N-node local cluster under ``state_dir``.
 
@@ -276,8 +270,6 @@ def plan_cluster(state_dir: os.PathLike, nodes: int = 3, workers: int = 1,
             per_client_limit=node_per_client_limit,
             peer_stores=tuple(r for j, r in enumerate(roots) if j != i),
             replica_probes=replica_probes,
-            speculate=speculate,
-            speculative_limit=speculative_limit,
         )
         for i in range(nodes)
     )
@@ -667,23 +659,6 @@ class ClusterRouter:
                 out["id"] = target[1]
                 await self._send(target[0], out)
             return
-        if frame.get("op") == "upgrade":
-            # Speculative-lane push: trails the compile response it
-            # belongs to, so the forward has normally already finished —
-            # translate the id back through _recent and relay verbatim.
-            # Want_upgrade travelled to the node inside the raw compile
-            # frame, so only subscribed clients ever get one of these.
-            target = None
-            forward = trunk.pending.get(rid)
-            if forward is not None:
-                target = (forward.client, forward.request_id)
-            elif rid in self._recent:
-                target = self._recent[rid]
-            if target is not None:
-                out = dict(frame)
-                out["id"] = target[1]
-                await self._send(target[0], out)
-            return
         forward = trunk.pending.pop(rid, None)
         if forward is None or forward.done:
             return
@@ -1017,7 +992,6 @@ class ClusterRouter:
         nodes_section: Dict[str, Dict] = {}
         cluster_requests: Dict[str, int] = {}
         cluster_cache: Dict[str, int] = {}
-        cluster_spec: Dict[str, int] = {}
         for node, stats in sorted(fetched, key=lambda p: p[0].spec.name):
             nodes_section[node.spec.name] = {
                 "healthy": node.healthy,
@@ -1035,11 +1009,6 @@ class ClusterRouter:
             for name, value in stats.get("cache", {}).items():
                 if isinstance(value, (int, float)):
                     cluster_cache[name] = cluster_cache.get(name, 0) + value
-            # Only the spec_* counters sum meaningfully across nodes
-            # (queue gauges and the enabled flag are per-node state).
-            for name, value in stats.get("speculative", {}).items():
-                if name.startswith("spec_") and isinstance(value, int):
-                    cluster_spec[name] = cluster_spec.get(name, 0) + value
         cluster_cache.pop("hit_rate", None)
         return {
             "router": self.router_stats(),
@@ -1047,7 +1016,6 @@ class ClusterRouter:
             "cluster": {
                 "requests": cluster_requests,
                 "cache": cluster_cache,
-                "speculative": cluster_spec,
             },
         }
 
@@ -1100,9 +1068,6 @@ class ClusterSupervisor:
             command += ["--peer-stores", ",".join(spec.peer_stores)]
             if spec.replica_probes is not None:
                 command += ["--replica-probes", str(spec.replica_probes)]
-        if spec.speculate:
-            command += ["--speculate",
-                        "--speculative-limit", str(spec.speculative_limit)]
         return command
 
     @staticmethod

@@ -44,24 +44,6 @@ Properties the test battery holds the gateway to:
   request ends in exactly one outcome counter, and cache/latency/
   per-worker-throughput numbers come from the same structures the
   benchmark gates.
-
-Speculative lane (``speculate=True``): a third lane *behind* warm and
-cold.  A cold miss compiles at the fast opt-1 tier and answers
-immediately; the gateway then enqueues a background full-effort
-recompile that upgrades the cache entry in place
-(:meth:`CompileCache.upgrade`, a compare-and-swap — a concurrent
-full-tier writer wins and the upgrade counts as stale).  The background
-lane can never starve cold traffic: an upgrade job is only dispatched
-when the cold queue is *empty*, the queue is bounded by
-``speculative_limit`` (overflow counts ``spec_dropped``), and a cold
-arrival that finds every slot held preempts running upgrades through
-the same cooperative cancel-flag mechanism — the preempted job requeues
-behind the cold work.  Clients that set ``want_upgrade`` on the request
-get one ``upgrade`` push frame when the background recompile resolves;
-cancelling that request id or disconnecting withdraws their interest,
-and a job nobody is interested in is withdrawn outright.  The
-speculative ledger reconciles like the request one: ``spec_enqueued ==
-spec_upgraded + spec_stale + spec_cancelled + spec_dropped``.
 """
 
 from __future__ import annotations
@@ -81,14 +63,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Deque, Dict, List, Optional, Set, Tuple
 
-from .artifact import (
-    TIER_FAST,
-    TIER_FULL,
-    artifact_tier,
-    loads_artifact,
-    program_to_dict,
-    tier_rank,
-)
+from .artifact import loads_artifact, program_to_dict
 from .batch import _worker_compile, _worker_init, resolve_spec
 from .cache import CompileCache
 from .metrics import GatewayMetrics
@@ -144,13 +119,6 @@ class GatewayConfig:
     peer_stores: Tuple[str, ...] = ()
     #: How many peers one miss consults (None = all of peer_stores).
     replica_probes: Optional[int] = None
-    #: Tiered speculative compilation: cold misses answer at the fast
-    #: opt-1 tier and a background full-effort recompile upgrades the
-    #: cache entry in place.
-    speculate: bool = False
-    #: Budget cap on queued background upgrade jobs; overflow is counted
-    #: ``spec_dropped`` rather than buffered.
-    speculative_limit: int = 8
 
 
 @dataclass
@@ -163,10 +131,6 @@ class _Waiter:
     admitted_at: float
     fingerprint: str = ""
     cancelled: bool = False
-    #: Subscribe this request to the background lane's ``upgrade`` push
-    #: frame (strictly opt-in: pipelined clients must never receive an
-    #: unsolicited trailing frame for an id they consider answered).
-    want_upgrade: bool = False
 
 
 @dataclass
@@ -183,9 +147,6 @@ class _ColdJob:
     waiters: List[_Waiter] = field(default_factory=list)
     dispatched: bool = False
     requeues: int = 0
-    #: Compile effort: ``full``, or the fast ``opt1`` pass when the
-    #: gateway speculates (the background lane upgrades it later).
-    tier: str = "full"
     #: The client whose pending deque currently holds this job (None once
     #: dispatched); lets pruning reap an abandoned job from the queue
     #: eagerly instead of leaving a capacity-consuming tombstone.
@@ -194,33 +155,6 @@ class _ColdJob:
     def live_waiters(self) -> List[_Waiter]:
         return [w for w in self.waiters
                 if not w.cancelled and not w.client.closed]
-
-
-@dataclass(eq=False)            # identity semantics: jobs live in sets
-class _SpecJob:
-    """One background full-effort recompile of a fingerprint the cache
-    currently holds at a lower tier."""
-
-    fingerprint: str
-    program_dict: Dict
-    options: Dict
-    label: str
-    cancel_path: str
-    enqueued_at: float
-    #: Clients whose request spawned (or re-spawned) this upgrade; when
-    #: the last one cancels or disconnects the job is withdrawn — the
-    #: background lane never burns a worker nobody is waiting to benefit
-    #: from.
-    interested: Set["_Client"] = field(default_factory=set)
-    #: ``(client, request_id)`` pairs that asked for the ``upgrade``
-    #: push frame (``want_upgrade``); always a subset of ``interested``.
-    subscribers: List[Tuple["_Client", str]] = field(default_factory=list)
-    dispatched: bool = False
-    withdrawn: bool = False
-    #: Set when a cold arrival preempted this running job (its cancel
-    #: flag was touched to free the slot); it requeues instead of dying.
-    preempted: bool = False
-    requeues: int = 0
 
 
 def _withdraw_cancel_flag(path: str) -> None:
@@ -248,9 +182,6 @@ class _Client:
         self.in_rr = False
         #: Unanswered cold requests, keyed by request id.
         self.waiting: Dict[str, _Waiter] = {}
-        #: Answered requests still subscribed to an ``upgrade`` push
-        #: frame, keyed by request id (cancel verb lookups).
-        self.upgrades: Dict[str, _SpecJob] = {}
 
 
 class CompileGateway:
@@ -271,11 +202,6 @@ class CompileGateway:
         self._server: Optional[asyncio.AbstractServer] = None
         self._clients: Set[_Client] = set()
         self._cold: Dict[str, _ColdJob] = {}
-        #: Background upgrade jobs: dedupe map + FIFO queue + the ones a
-        #: worker is currently compiling (preemption targets).
-        self._spec: Dict[str, _SpecJob] = {}
-        self._spec_queue: Deque[_SpecJob] = deque()
-        self._spec_running: Set[_SpecJob] = set()
         self._rr: Deque[_Client] = deque()
         self._queued = 0
         self._in_flight = 0
@@ -382,13 +308,6 @@ class CompileGateway:
             task.cancel()
         if self._job_tasks:
             await asyncio.gather(*self._job_tasks, return_exceptions=True)
-        # Upgrade jobs still queued will never run; account each so the
-        # speculative ledger reconciles across a shutdown.
-        while self._spec_queue:
-            spec = self._spec_queue.popleft()
-            self._drop_spec(spec)
-            self.metrics.incr(
-                "spec_cancelled" if spec.withdrawn else "spec_dropped")
         # Whatever still waits gets a clean refusal before the socket dies;
         # count each one so the outcome ledger still reconciles (these
         # requests were admitted but will never complete).
@@ -526,17 +445,15 @@ class CompileGateway:
             text = await asyncio.get_running_loop().run_in_executor(
                 None, self.cache.get_disk, fingerprint)
         if text is not None:
-            tier = None
-            if self.config.speculate or request.want_upgrade:
-                tier = self._tier_of(text)
             frame = self._result_frame(
                 request.id, request.want, fingerprint, text,
-                cached=True, queued_ms=0.0, compile_ms=0.0, tier=tier,
+                cached=True, queued_ms=0.0, compile_ms=0.0,
             )
             if frame is None:
-                # Corrupt stored artifact: heal by dropping the entry and
-                # falling through to a cold compile.  Discard unlinks the
-                # disk entry, so it goes through the executor too.
+                # Corrupt or stale stored artifact: heal by dropping the
+                # entry and falling through to a cold compile.  Discard
+                # unlinks the disk entry, so it goes through the executor
+                # too.
                 await asyncio.get_running_loop().run_in_executor(
                     None, self.cache.discard, fingerprint)
             else:
@@ -544,20 +461,6 @@ class CompileGateway:
                 self.metrics.incr("warm_hits")
                 self.metrics.warm_latency.record(
                     time.perf_counter() - received_at)
-                # Re-speculation: a warm hit on a lower-tier entry (e.g.
-                # left by a gateway restart mid-upgrade) re-arms the
-                # background recompile.
-                if (self.config.speculate and not self._closing
-                        and tier is not None
-                        and tier_rank(tier) < tier_rank(TIER_FULL)
-                        and options.get("run_peephole", True)):
-                    self._enqueue_spec(
-                        fingerprint, program_dict, options, label,
-                        interested={client},
-                        subscribers=(
-                            [(client, request.id)]
-                            if request.want_upgrade else []),
-                    )
                 return
 
         if self._closing:
@@ -578,8 +481,7 @@ class CompileGateway:
 
         waiter = _Waiter(client=client, request_id=request.id,
                          want=request.want, admitted_at=received_at,
-                         fingerprint=fingerprint,
-                         want_upgrade=request.want_upgrade)
+                         fingerprint=fingerprint)
         job = self._cold.get(fingerprint)
         if job is not None:
             # Follower: the same fingerprint is already queued or running;
@@ -605,12 +507,6 @@ class CompileGateway:
                 f"cold queue is full ({self._queued}/{self.config.queue_limit})"))
             return
 
-        # Speculation compiles the fast opt-1 tier first (answer now, the
-        # background lane upgrades later); a spec that disables peephole
-        # has nothing to speed up and stays on the full path.
-        tier = TIER_FULL
-        if self.config.speculate and options.get("run_peephole", True):
-            tier = TIER_FAST
         job = _ColdJob(
             fingerprint=fingerprint,
             program_dict=program_dict,
@@ -620,7 +516,6 @@ class CompileGateway:
                 self._cancel_dir / f"job-{next(self._cancel_seq)}.cancel"),
             created_at=received_at,
             waiters=[waiter],
-            tier=tier,
         )
         client.waiting[request.id] = waiter
         self._cold[fingerprint] = job
@@ -642,21 +537,6 @@ class CompileGateway:
                 state = "in-flight" if job.dispatched else "cancelled"
             else:
                 state = "cancelled"
-        elif waiter is None:
-            # The compile already answered, but this id may still hold an
-            # upgrade subscription: cancelling it mid-upgrade withdraws
-            # the client's interest (and the whole background job when it
-            # was the last interested client).
-            spec = client.upgrades.pop(request.id, None)
-            if spec is not None:
-                spec.subscribers = [
-                    (c, r) for c, r in spec.subscribers
-                    if not (c is client and r == request.id)]
-                if not any(c is client for c, _ in spec.subscribers):
-                    spec.interested.discard(client)
-                if not spec.interested and not spec.withdrawn:
-                    self._withdraw_spec(spec)
-                state = "upgrade-cancelled"
         await self._send(client, {
             "op": "cancel", "id": request.id, "ok": True, "state": state})
 
@@ -689,15 +569,6 @@ class CompileGateway:
         # workers, reap abandoned queued jobs from other clients' deques.
         for job in list(self._cold.values()):
             self._prune_job(job)
-        # Upgrade jobs this client alone was interested in are withdrawn
-        # (queued ones die at pop time, running ones via the cancel flag).
-        for spec in list(self._spec.values()):
-            spec.interested.discard(client)
-            spec.subscribers = [
-                (c, r) for c, r in spec.subscribers if c is not client]
-            if not spec.interested and not spec.withdrawn:
-                self._withdraw_spec(spec)
-        client.upgrades.clear()
 
     def _prune_job(self, job: _ColdJob) -> None:
         """Drop dead waiters; cancel the underlying work when none remain."""
@@ -767,39 +638,15 @@ class CompileGateway:
             # exhaustion parks on an event _run_job sets when one frees,
             # rather than polling.
             if self._in_flight >= max(self.config.workers, 1):
-                # Arm the event *before* any suspension: a job finishing
-                # during the preemption hop below sets it, and clearing
-                # afterwards would eat that wakeup with no running job
-                # left to ever set it again (dispatcher deadlock).
+                # Arm the event *before* any suspension: clearing it after
+                # an await could eat the wakeup of a job that finished
+                # meanwhile, with no running job left to ever set it
+                # again (dispatcher deadlock).
                 self._slot_free.clear()
-                if self._queued and self._spec_running:
-                    # Cold work is waiting on a slot a background upgrade
-                    # holds: preempt it cooperatively (it requeues), so
-                    # speculation can never starve the cold lane.
-                    await asyncio.get_running_loop().run_in_executor(
-                        None, self._preempt_specs)
                 await self._slot_free.wait()
                 continue
             job = self._pop_next_job()
             if job is None:
-                # Strict priority: the background lane only gets a slot
-                # when the cold queue is empty (and never during drain).
-                # Multi-worker pools additionally keep one slot in
-                # reserve — an arriving cold request starts immediately
-                # instead of paying a preemption round trip; with a
-                # single worker, preemption is the mechanism.
-                workers = max(self.config.workers, 1)
-                headroom = workers - 1 if workers > 1 else 1
-                spec = None
-                if not self._closing and self._in_flight < headroom:
-                    spec = self._pop_next_spec()
-                if spec is not None:
-                    spec.dispatched = True
-                    self._in_flight += 1
-                    task = asyncio.create_task(self._run_spec_job(spec))
-                    self._job_tasks.add(task)
-                    task.add_done_callback(self._job_tasks.discard)
-                    continue
                 self._work.clear()
                 if self._closing:
                     return
@@ -815,8 +662,6 @@ class CompileGateway:
         loop = asyncio.get_running_loop()
         payload = (job.fingerprint, job.program_dict, job.options,
                    job.cancel_path)
-        if job.tier != TIER_FULL:
-            payload += (job.tier,)
         outcome: Optional[Tuple] = None
         failure: Optional[str] = None
         try:
@@ -879,11 +724,6 @@ class CompileGateway:
             # (absorbed above) — just make the key hot here (memory-only,
             # loop-safe).
             self.cache.promote(job.fingerprint, text)
-        elif job.tier != TIER_FULL:
-            # Tiered publish: rank-checked so the fast artifact can never
-            # clobber a full one a concurrent writer landed first.
-            await loop.run_in_executor(
-                None, self.cache.put_tiered, job.fingerprint, text, job.tier)
         else:
             # Thread-mode compile or private store: the put publishes to
             # disk, so it takes the executor hop.
@@ -896,20 +736,6 @@ class CompileGateway:
         self.metrics.worker_completed(pid)
         self._remember_metrics(job.fingerprint, result_metrics)
         await self._finish_job(job, text, elapsed, result_metrics)
-        # The fast tier just answered; hand the full-effort recompile to
-        # the background lane (after the responses above, so an upgrade
-        # frame can never precede its compile response on the wire).
-        if (job.tier != TIER_FULL and self.config.speculate
-                and not self._closing):
-            live = job.live_waiters()
-            if live:
-                self._enqueue_spec(
-                    job.fingerprint, job.program_dict, job.options,
-                    job.label,
-                    interested={w.client for w in live},
-                    subscribers=[(w.client, w.request_id)
-                                 for w in live if w.want_upgrade],
-                )
 
     def _drop_cold(self, job: _ColdJob) -> None:
         """Retire a job's dedupe entry (unless a requeue replaced it)."""
@@ -943,8 +769,6 @@ class CompileGateway:
                     queued_ms=(now - waiter.admitted_at - elapsed) * 1e3,
                     compile_ms=elapsed * 1e3,
                     known_metrics=result_metrics,
-                    tier=(job.tier if (self.config.speculate
-                                       or waiter.want_upgrade) else None),
                 )
                 self.metrics.incr("completed")
                 self.metrics.cold_latency.record(now - waiter.admitted_at)
@@ -960,205 +784,6 @@ class CompileGateway:
             self.metrics.incr("worker_restarts")
             await asyncio.get_running_loop().run_in_executor(
                 None, lambda: broken.shutdown(wait=False, cancel_futures=True))
-
-    # ------------------------------------------------------------------
-    # Speculative lane
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _tier_of(text: str) -> str:
-        """Tier of a stored artifact, with a substring fast path: an
-        artifact with no ``tier`` key at all (v1/v2, or any full-effort
-        document) skips the JSON parse on the warm lane."""
-        if '"tier":' not in text:
-            return TIER_FULL
-        return artifact_tier(text)
-
-    @staticmethod
-    def _live_interest(job: _SpecJob) -> bool:
-        return any(not c.closed for c in job.interested)
-
-    def _enqueue_spec(self, fingerprint: str, program_dict: Dict,
-                      options: Dict, label: str,
-                      interested: Set[_Client],
-                      subscribers: List[Tuple[_Client, str]]) -> None:
-        """Admit one background upgrade job (or merge into the in-flight
-        one for this fingerprint).  Over-budget admissions are counted
-        and dropped immediately — the queue is a cap, not a buffer."""
-        job = self._spec.get(fingerprint)
-        if job is not None:
-            # Fresh interest revives a withdrawn-but-unreaped job.
-            job.withdrawn = False
-            job.interested.update(c for c in interested if not c.closed)
-            for client, rid in subscribers:
-                if (client, rid) not in job.subscribers:
-                    job.subscribers.append((client, rid))
-                    client.upgrades[rid] = job
-            return
-        if len(self._spec_queue) >= self.config.speculative_limit:
-            self.metrics.incr("spec_enqueued")
-            self.metrics.incr("spec_dropped")
-            return
-        job = _SpecJob(
-            fingerprint=fingerprint,
-            program_dict=program_dict,
-            options=options,
-            label=label,
-            cancel_path=str(
-                self._cancel_dir / f"job-{next(self._cancel_seq)}.cancel"),
-            enqueued_at=time.perf_counter(),
-            interested={c for c in interested if not c.closed},
-            subscribers=list(subscribers),
-        )
-        for client, rid in job.subscribers:
-            client.upgrades[rid] = job
-        self._spec[fingerprint] = job
-        self._spec_queue.append(job)
-        self.metrics.incr("spec_enqueued")
-        self._work.set()
-
-    def _pop_next_spec(self) -> Optional[_SpecJob]:
-        """Next live background job; withdrawn ones are reaped (and
-        accounted) here rather than searched out of the deque eagerly."""
-        while self._spec_queue:
-            job = self._spec_queue.popleft()
-            if job.withdrawn or not self._live_interest(job):
-                self._drop_spec(job)
-                self.metrics.incr("spec_cancelled")
-                continue
-            return job
-        return None
-
-    def _withdraw_spec(self, job: _SpecJob) -> None:
-        """Last interested client left: mark the job withdrawn.  Queued
-        jobs die (and count) at pop time; a running one is flagged
-        through the same cooperative cancel file as a cold compile."""
-        job.withdrawn = True
-        if job.dispatched:
-            try:
-                Path(job.cancel_path).touch()
-            except OSError:
-                pass
-
-    def _preempt_specs(self) -> None:
-        """Flag every running background upgrade to yield its slot to
-        waiting cold work (blocking: dispatcher calls via the executor).
-        Cooperative — the worker notices at its next pass boundary and
-        the job requeues behind the cold queue."""
-        for job in list(self._spec_running):
-            job.preempted = True
-            try:
-                Path(job.cancel_path).touch()
-            except OSError:
-                pass
-
-    def _drop_spec(self, job: _SpecJob) -> None:
-        """Retire a background job's dedupe entry and id subscriptions."""
-        if self._spec.get(job.fingerprint) is job:
-            del self._spec[job.fingerprint]
-        for client, rid in job.subscribers:
-            if client.upgrades.get(rid) is job:
-                del client.upgrades[rid]
-
-    async def _run_spec_job(self, job: _SpecJob) -> None:
-        loop = asyncio.get_running_loop()
-        self._spec_running.add(job)
-        payload = (job.fingerprint, job.program_dict, job.options,
-                   job.cancel_path, "opt3")
-        outcome: Optional[Tuple] = None
-        try:
-            for attempt in range(self.config.dispatch_retries + 1):
-                epoch = self._pool_epoch
-                try:
-                    executor = self._pool if self._pool is not None \
-                        else self._thread_pool
-                    outcome = await loop.run_in_executor(
-                        executor, _worker_compile, payload)
-                    break
-                except BrokenProcessPool:
-                    await self._rebuild_pool(epoch)
-                except Exception:
-                    break   # compile bug: the opt-1 answer already stands
-        except asyncio.CancelledError:
-            # close() tore the task down mid-flight: account the job so
-            # the speculative ledger reconciles across a shutdown.
-            self.metrics.incr("spec_dropped")
-            self._drop_spec(job)
-            raise
-        finally:
-            self._spec_running.discard(job)
-            self._in_flight -= 1
-            self._slot_free.set()
-            self._work.set()
-
-        await loop.run_in_executor(None, _withdraw_cancel_flag,
-                                   job.cancel_path)
-
-        if outcome is None:
-            self._drop_spec(job)
-            self.metrics.incr("spec_dropped")
-            await self._notify_upgrade(job, ok=False, state="failed")
-            return
-
-        _fp, text, elapsed, _result_metrics, stats_delta, pid = outcome
-        self._seen_worker_pids.add(pid)
-        shared = pid != os.getpid() and self.cache.root is not None
-        if shared:
-            self.cache.stats.absorb(stats_delta)
-        if text is None:
-            # The worker honored the cancel flag (withdrawal or cold-lane
-            # preemption).  Withdrawn jobs end here; preempted ones with
-            # live interest get back in line behind the cold queue.
-            job.dispatched = False
-            job.preempted = False
-            if job.withdrawn or not self._live_interest(job):
-                self._drop_spec(job)
-                self.metrics.incr("spec_cancelled")
-                return
-            if job.requeues < 3:
-                job.requeues += 1
-                self._spec_queue.append(job)
-                self._work.set()
-                return
-            self._drop_spec(job)
-            self.metrics.incr("spec_dropped")
-            await self._notify_upgrade(job, ok=False, state="dropped")
-            return
-
-        if shared:
-            # The worker ran the compare-and-swap against the shared
-            # store itself; its absorbed counter delta says how it went.
-            landed = stats_delta.get("upgraded", 0) > 0
-            if landed:
-                self.cache.promote(job.fingerprint, text)
-        else:
-            landed = await loop.run_in_executor(
-                None, self.cache.upgrade, job.fingerprint, text)
-        self._drop_spec(job)
-        self.metrics.worker_completed(pid)
-        if landed:
-            gap = time.perf_counter() - job.enqueued_at
-            self.metrics.incr("spec_upgraded")
-            self.metrics.upgrade_latency.record(gap)
-            await self._notify_upgrade(job, ok=True, upgrade_ms=gap * 1e3)
-        else:
-            self.metrics.incr("spec_stale")
-            await self._notify_upgrade(job, ok=False, state="stale")
-
-    async def _notify_upgrade(self, job: _SpecJob, ok: bool,
-                              state: Optional[str] = None,
-                              upgrade_ms: Optional[float] = None) -> None:
-        """Push the ``upgrade`` frame to every subscriber still around."""
-        for client, rid in job.subscribers:
-            if client.closed:
-                continue
-            frame: Dict = {"op": "upgrade", "id": rid, "ok": ok,
-                           "fingerprint": job.fingerprint}
-            if ok:
-                frame["tier"] = TIER_FULL
-                frame["upgrade_ms"] = round(upgrade_ms or 0.0, 3)
-            else:
-                frame["state"] = state
-            await self._send(client, frame)
 
     # ------------------------------------------------------------------
     # Resolution / response assembly
@@ -1203,8 +828,7 @@ class CompileGateway:
     def _result_frame(self, request_id: str, want: str, fingerprint: str,
                       text: str, cached: bool, queued_ms: float,
                       compile_ms: float,
-                      known_metrics: Optional[Dict] = None,
-                      tier: Optional[str] = None) -> Optional[Dict]:
+                      known_metrics: Optional[Dict] = None) -> Optional[Dict]:
         """Build one success frame; ``None`` if the artifact is corrupt."""
         frame = {
             "op": "compile", "id": request_id, "ok": True,
@@ -1212,8 +836,6 @@ class CompileGateway:
             "queued_ms": round(max(queued_ms, 0.0), 3),
             "compile_ms": round(compile_ms, 3),
         }
-        if tier is not None:
-            frame["tier"] = tier
         if want in ("metrics", "artifact"):
             metrics = known_metrics
             if metrics is None:
@@ -1274,14 +896,6 @@ class CompileGateway:
             "in_flight": self._in_flight,
             "cold_fingerprints": len(self._cold),
         }
-        spec = snap.get("speculative", {})
-        spec.update({
-            "enabled": self.config.speculate,
-            "queued": len(self._spec_queue),
-            "in_flight": len(self._spec_running),
-            "limit": self.config.speculative_limit,
-        })
-        snap["speculative"] = spec
         snap["connections"] = len(self._clients)
         snap["workers"] = {
             "mode": "process" if self.config.workers >= 1 else "thread",
@@ -1321,12 +935,7 @@ class GatewayClient:
         self.hello: Optional[Dict] = None
 
     def _stash_frame(self, frame: Dict) -> None:
-        key = str(frame.get("id"))
-        if frame.get("op") == "upgrade":
-            # An upgrade push shares its id with the compile response it
-            # trails; key it apart so neither can shadow the other.
-            key = f"upgrade:{key}"
-        self._stash[key] = frame
+        self._stash[str(frame.get("id"))] = frame
         while len(self._stash) > self.STASH_LIMIT:
             self._stash.popitem(last=False)
 
@@ -1367,40 +976,17 @@ class GatewayClient:
             if remaining <= 0:
                 raise TimeoutError(f"no response for id {want_id!r}")
             response = await asyncio.wait_for(self._read_frame(), remaining)
-            if (str(response.get("id")) == want_id
-                    and response.get("op") != "upgrade"):
+            if str(response.get("id")) == want_id:
                 return response
             self._stash_frame(response)
 
     async def compile(self, spec: Dict, request_id: str = "c1",
                       want: str = "metrics", timeout: float = 300.0,
-                      tenant: Optional[str] = None,
-                      want_upgrade: bool = False) -> Dict:
+                      tenant: Optional[str] = None) -> Dict:
         frame = {"op": "compile", "id": request_id, "spec": spec, "want": want}
         if tenant is not None:
             frame["tenant"] = tenant
-        if want_upgrade:
-            frame["want_upgrade"] = True
         return await self.request(frame, timeout=timeout)
-
-    async def wait_upgrade(self, request_id: str,
-                           timeout: float = 300.0) -> Dict:
-        """Block until the ``upgrade`` push frame for ``request_id``
-        arrives (the request must have been sent with ``want_upgrade``)."""
-        key = f"upgrade:{request_id}"
-        if key in self._stash:
-            return self._stash.pop(key)
-        deadline = time.monotonic() + timeout
-        while True:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                raise TimeoutError(
-                    f"no upgrade frame for id {request_id!r}")
-            frame = await asyncio.wait_for(self._read_frame(), remaining)
-            if (frame.get("op") == "upgrade"
-                    and str(frame.get("id")) == str(request_id)):
-                return frame
-            self._stash_frame(frame)
 
     async def stats(self, timeout: float = 30.0) -> Dict:
         response = await self.request({"op": "stats", "id": "_stats"},
@@ -1427,7 +1013,6 @@ class GatewayClient:
                         window: int = 32, id_prefix: str = "q",
                         timeout: float = 600.0,
                         tenant: Optional[str] = None,
-                        want_upgrade: bool = False,
                         ) -> Tuple[List[Optional[Dict]], List[float]]:
         """Pipeline ``specs`` with ≤ ``window`` in flight.
 
@@ -1449,8 +1034,6 @@ class GatewayClient:
                      "spec": specs[next_index], "want": want}
             if tenant is not None:
                 frame["tenant"] = tenant
-            if want_upgrade:
-                frame["want_upgrade"] = True
             await self._send(frame)
             next_index += 1
             outstanding += 1
@@ -1463,7 +1046,7 @@ class GatewayClient:
                 raise TimeoutError("corpus run timed out")
             response = await asyncio.wait_for(self._read_frame(), remaining)
             rid = str(response.get("id"))
-            if rid not in sent_at or response.get("op") == "upgrade":
+            if rid not in sent_at:
                 self._stash_frame(response)
                 continue
             index, t0 = sent_at.pop(rid)

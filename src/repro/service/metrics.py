@@ -91,35 +91,17 @@ _COUNTERS = (
     "worker_restarts",       # process pool rebuilt after a worker died
 )
 
-#: Speculative-lane counters.  Their own reconciling ledger, *outside*
-#: the request ledger above (an upgrade job is an internal by-product of
-#: a request that already landed in ``completed`` or ``warm_hits``):
-#: every ``spec_enqueued`` ends in exactly one of ``spec_upgraded``
-#: (background opt-3 replaced the opt-1 entry), ``spec_stale`` (the CAS
-#: lost to an equal-or-better artifact), ``spec_cancelled`` (withdrawn
-#: by verb or disconnect), or ``spec_dropped`` (budget cap, requeue
-#: exhaustion, or shutdown with the job still queued).
-_SPEC_COUNTERS = (
-    "spec_enqueued",
-    "spec_upgraded",
-    "spec_stale",
-    "spec_cancelled",
-    "spec_dropped",
-)
-
 
 class GatewayMetrics:
     """All gateway counters and latency reservoirs behind one lock."""
 
     def __init__(self):
         self._lock = threading.Lock()
-        self._counters = {name: 0 for name in _COUNTERS + _SPEC_COUNTERS}
+        self._counters = {name: 0 for name in _COUNTERS}
         self._per_worker: Dict[int, int] = {}
         self.warm_latency = LatencyReservoir()
         self.cold_latency = LatencyReservoir()
         self.queue_wait = LatencyReservoir()
-        #: Answer→upgrade-landed gap of background opt-3 recompiles.
-        self.upgrade_latency = LatencyReservoir()
         self.started = time.monotonic()
 
     def incr(self, name: str, delta: int = 1) -> None:
@@ -143,19 +125,13 @@ class GatewayMetrics:
         with self._lock:
             counters = dict(self._counters)
             per_worker = dict(self._per_worker)
-        # The speculative ledger reports under its own key so the
-        # "requests" section keeps its original shape (and its own
-        # reconciliation invariant) for existing consumers.
-        spec = {name: counters.pop(name) for name in _SPEC_COUNTERS}
         return {
             "uptime_s": round(uptime, 3),
             "requests": counters,
-            "speculative": spec,
             "latency": {
                 "warm": self.warm_latency.summary(),
                 "cold": self.cold_latency.summary(),
                 "queue_wait": self.queue_wait.summary(),
-                "upgrade": self.upgrade_latency.summary(),
             },
             "per_worker": {
                 str(pid): {

@@ -19,7 +19,9 @@ Requests (client → server)::
 ``"artifact"`` (full versioned artifact document), or ``"ack"``
 (fingerprint only).  ``id`` is an arbitrary client-chosen string, unique
 per connection; responses echo it, which is what permits streaming —
-results arrive *as they complete*, not in request order.
+results arrive *as they complete*, not in request order.  Request fields
+beyond these are ignored, so clients of older servers (e.g. ones that
+still set the retired ``want_upgrade``) keep working.
 
 Responses (server → client)::
 
@@ -35,25 +37,6 @@ Error codes are the ``E_*`` constants below.  A malformed line gets an
 connection stays open (line framing survives bad payloads); only an
 oversized frame closes the connection, since the byte stream can no
 longer be trusted to resynchronize.
-
-Speculative compilation (``--speculate``) adds one field and one
-server-push verb.  A compile request may set ``"want_upgrade": true``;
-its compile response then carries ``"tier"`` (``"opt1"`` when the
-answer came from the fast speculative pass, ``"full"`` otherwise), and
-when the background opt-3 recompile lands, the server pushes one extra
-frame on the same connection::
-
-    {"op": "upgrade", "id": "r1", "ok": true, "fingerprint": "...",
-     "tier": "full", "upgrade_ms": 12.5}
-
-Upgrade frames are strictly opt-in: without ``want_upgrade`` a client
-never receives one (pipelined clients match any frame bearing a known
-id to its request, so an unsolicited trailing frame would corrupt their
-accounting).  An upgrade that never lands (CAS lost, cancelled, or
-dropped) pushes ``ok: false`` with the reason in ``"state"``.  The
-``stats`` payload grows a reconciling ``"speculative"`` section:
-``spec_enqueued == spec_upgraded + spec_stale + spec_cancelled +
-spec_dropped``.
 
 Cluster extensions (:mod:`repro.service.cluster`) reuse the same frames:
 a router speaks this exact protocol to clients (hello ``server`` is
@@ -144,10 +127,6 @@ class Request:
     #: Optional multi-tenant identity on compile requests; the cluster
     #: router quotas by it, single gateways ignore it.
     tenant: Optional[str] = None
-    #: Compile requests only: subscribe to the ``upgrade`` push frame of
-    #: the speculative lane.  Ignored when the server runs without
-    #: ``--speculate``.
-    want_upgrade: bool = False
     raw: Dict = field(default_factory=dict)
 
 
@@ -198,7 +177,6 @@ def parse_request(line: Union[bytes, str, Dict]) -> Request:
     spec = None
     want = "metrics"
     tenant = None
-    want_upgrade = False
     if op == "compile":
         spec = payload.get("spec")
         if not isinstance(spec, dict):
@@ -217,13 +195,8 @@ def parse_request(line: Union[bytes, str, Dict]) -> Request:
         if tenant is not None and not isinstance(tenant, str):
             raise ProtocolError(
                 E_BAD_REQUEST, "'tenant' must be a string", request_id)
-        want_upgrade = payload.get("want_upgrade", False)
-        if not isinstance(want_upgrade, bool):
-            raise ProtocolError(
-                E_BAD_REQUEST, "'want_upgrade' must be a boolean",
-                request_id)
     return Request(op=op, id=request_id, spec=spec, want=want,
-                   tenant=tenant, want_upgrade=want_upgrade, raw=payload)
+                   tenant=tenant, raw=payload)
 
 
 def hello_frame(server: str = "repro-gateway") -> Dict:

@@ -43,8 +43,6 @@ __all__ = [
     "register_callable",
     "rules_for_level",
     "shipped_pipelines",
-    "TIER_LEVELS",
-    "pipeline_for_tier",
 ]
 
 #: The closed property vocabulary.  Contracts may only mention these
@@ -474,35 +472,6 @@ def rules_for_level(level: int) -> List[str]:
     return rules
 
 
-#: Serving-layer artifact quality tiers mapped onto the peephole
-#: optimization level whose shipped pipeline produced them.  The
-#: gateway's speculative lane answers at ``opt1`` and upgrades to
-#: ``full``; the contracts below guarantee that upgrade is monotone —
-#: each level's rule set is a superset of the level below, so a
-#: higher-tier recompile can only add simplifications, never lose the
-#: guarantees the fast artifact already carried.
-TIER_LEVELS: Dict[str, int] = {
-    "opt0": 0, "opt1": 1, "opt2": 2, "opt3": 3, "full": 3,
-}
-
-
-def pipeline_for_tier(backend: str, scheduler: str, tier: str) -> str:
-    """Name of the shipped pipeline that produces a ``tier``-quality
-    artifact for ``backend`` (``ft``/``sc``) under ``scheduler``.
-
-    This is the serving layer's provenance hook: an artifact stamped
-    ``tier="opt1"`` was compiled by the pipeline this function names, and
-    the self-check below asserts that pipeline is actually shipped (and
-    contract-valid), so a tier string in the cache always corresponds to
-    a statically validated pass sequence.
-    """
-    if tier not in TIER_LEVELS:
-        raise ValueError(
-            f"unknown tier {tier!r}; expected one of {sorted(TIER_LEVELS)}"
-        )
-    return f"{backend}-{scheduler}-opt{TIER_LEVELS[tier]}"
-
-
 @dataclass(frozen=True)
 class ShippedPipeline:
     """A built-in pass sequence with its entry assumptions and goal."""
@@ -577,7 +546,6 @@ def _self_check() -> None:
     regression fails the whole suite at collection rather than shipping a
     miscomposed default."""
     checker = PipelineChecker()
-    shipped = {p.name for p in shipped_pipelines()}
     for pipeline in shipped_pipelines():
         checker.check(
             pipeline.passes,
@@ -585,28 +553,6 @@ def _self_check() -> None:
             goal=pipeline.goal,
             name=pipeline.name,
         )
-    # Tier provenance: every serving-layer tier must resolve to a shipped
-    # (hence contract-validated) pipeline for both backends.
-    for tier in TIER_LEVELS:
-        for backend in ("ft", "sc"):
-            for scheduler in ("gco", "do"):
-                name = pipeline_for_tier(backend, scheduler, tier)
-                if name not in shipped:
-                    raise AssertionError(
-                        f"tier {tier!r} maps to unshipped pipeline {name!r}"
-                    )
-    # Upgrade monotonicity: a higher optimization level runs a superset
-    # of the rules below it, so a background opt-3 recompile of an opt-1
-    # artifact can only add simplifications.  Without this, the
-    # speculative lane's "upgrade" could silently regress circuit
-    # quality.
-    for level in range(3):
-        lower, higher = set(rules_for_level(level)), set(rules_for_level(level + 1))
-        if not lower <= higher:
-            raise AssertionError(
-                f"peephole rules are not monotone: level {level} runs "
-                f"{sorted(lower - higher)} which level {level + 1} drops"
-            )
 
 
 _self_check()

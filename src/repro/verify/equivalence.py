@@ -147,36 +147,37 @@ def canonicalize_gadgets(
 ) -> List[RotationGadget]:
     """Normalize a gadget sequence for comparison.
 
-    Wraps every angle into ``(-pi, pi]``, drops (near-)zero rotations, and
-    merges each gadget into the most recent earlier gadget with the same
-    Pauli when every gadget in between commutes with it — exactly the
-    rewrites the peephole's wire-adjacent rotation merge realizes on the
-    circuit side (wire adjacency implies the skipped gadgets' conjugated
-    Paulis act as identity on the merge wire, hence commute).
+    Wraps every angle into ``(-pi, pi]``, merges each gadget into the
+    most recent earlier gadget with the same Pauli when every gadget in
+    between commutes with it — exactly the rewrites the peephole's
+    wire-adjacent rotation merge realizes on the circuit side (wire
+    adjacency implies the skipped gadgets' conjugated Paulis act as
+    identity on the merge wire, hence commute) — and finally drops
+    (near-)zero rotations.  Near-zero gadgets take part in merges but
+    never block one: dropping them *before* merging would lose two
+    sub-``atol`` source rotations whose sum the peephole merged into one
+    rotation above ``atol``.
     """
     out: List[RotationGadget] = []
     for gadget in gadgets:
         angle = _wrap(gadget.angle)
-        if abs(angle) <= atol:
-            continue
         merged = False
         steps = 0
         for k in range(len(out) - 1, -1, -1):
             entry = out[k]
             if entry.string == gadget.string:
                 total = _wrap(entry.angle + angle)
-                if abs(total) <= atol:
-                    del out[k]
-                else:
-                    out[k] = RotationGadget(entry.string, total, entry.position)
+                out[k] = RotationGadget(entry.string, total, entry.position)
                 merged = True
                 break
+            if abs(entry.angle) <= atol:
+                continue
             steps += 1
             if steps >= _COMMUTE_CAP or not entry.string.commutes_with(gadget.string):
                 break
         if not merged:
             out.append(RotationGadget(gadget.string, angle, gadget.position))
-    return out
+    return [gadget for gadget in out if abs(gadget.angle) > atol]
 
 
 def expected_gadgets(

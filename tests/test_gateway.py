@@ -636,267 +636,70 @@ class TestStatsReconciliation:
         run(scenario())
 
 
-def spec_ledger(stats):
-    """The speculative section's counters as a reconciliation tuple."""
-    spec = stats["speculative"]
-    outcomes = (spec["spec_upgraded"] + spec["spec_stale"]
-                + spec["spec_cancelled"] + spec["spec_dropped"])
-    return spec, outcomes
+class TestRetiredSpeculativeSurface:
+    """Compatibility with clients and stores from the speculative era:
+    ``want_upgrade`` is an unknown field now (ignored like any other),
+    and reduced-tier artifacts left in a store are recompiled."""
 
-
-async def wait_until(predicate, timeout=30.0):
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        if await predicate():
-            return
-        await asyncio.sleep(0.02)
-    raise TimeoutError("condition not reached")
-
-
-class TestSpeculativeLane:
-    """Tiered speculation: opt-1 now, opt-3 in the background.
-
-    Thread mode (one compile slot) makes the lane's priority rules
-    observable: the background job can only hold the slot when no cold
-    work wants it.
-    """
-
-    def test_cold_answers_at_opt1_then_upgrade_lands(self, tmp_path):
+    def test_want_upgrade_gets_exactly_one_frame(self, tmp_path):
         async def scenario():
-            gateway = await make_gateway(tmp_path, speculate=True)
+            gateway = await make_gateway(tmp_path)
             client = await GatewayClient.connect(port=gateway.port)
-            cold = await client.compile(SPEC_A, "r1", want_upgrade=True)
-            assert cold["ok"] and not cold["cached"]
-            assert cold["tier"] == "opt1"
-
-            push = await client.wait_upgrade("r1", timeout=60)
-            assert push["ok"] and push["tier"] == "full"
-            assert push["fingerprint"] == cold["fingerprint"]
-            assert push["upgrade_ms"] >= 0
-
-            # The cache entry was upgraded in place: a warm hit now
-            # serves the full artifact under the same fingerprint.
-            warm = await client.compile(SPEC_A, "r2")
-            assert warm["cached"]
-            assert warm["fingerprint"] == cold["fingerprint"]
-            assert warm["tier"] == "full"
-
-            stats = await client.stats()
-            spec, outcomes = spec_ledger(stats)
-            assert spec["enabled"] and spec["spec_enqueued"] == 1
-            assert spec["spec_upgraded"] == 1
-            assert spec["spec_enqueued"] == outcomes
-            assert stats["latency"]["upgrade"]["count"] == 1
-            assert stats["cache"]["upgraded"] == 1
-            # The request ledger is untouched by the background lane.
-            req = stats["requests"]
-            assert req["received"] == 2
-            assert req["completed"] == 1 and req["warm_hits"] == 1
+            for rid in ("cold", "warm"):
+                await client._send({"op": "compile", "id": rid,
+                                    "spec": SPEC_A, "want_upgrade": True})
+                answer = await asyncio.wait_for(client._read_frame(), 60)
+                assert answer["op"] == "compile" and answer["id"] == rid
+                assert answer["ok"] and "tier" not in answer
+                # Leave time for any trailing push frame to arrive; the
+                # next frame must still be the ping's answer.
+                await asyncio.sleep(0.5)
+                await client._send({"op": "ping", "id": f"after-{rid}"})
+                pong = await asyncio.wait_for(client._read_frame(), 60)
+                assert pong == {"op": "pong", "id": f"after-{rid}", "ok": True}
+            assert answer["cached"]
+            assert "speculative" not in await client.stats()
             await client.close()
             await gateway.close()
 
         run(scenario())
 
-    def test_upgrade_frames_are_strictly_opt_in(self, tmp_path):
+    @pytest.mark.parametrize("case_id", ["v3-ft-opt1-tiered",
+                                         "v3-sc-opt2-tiered"])
+    def test_warm_hit_on_stale_artifact_recompiles(self, tmp_path, case_id):
+        from repro.service import CompileCache, resolve_spec
+        from repro.transpile import linear
+
+        from test_service_artifact import (
+            _CORPUS_SOURCES,
+            _artifact_corpus_cases,
+            _canonical_text,
+        )
+
+        corpus = {case["id"]: _canonical_text(case["artifact"])
+                  for case in _artifact_corpus_cases()}
+        backend = json.loads(corpus[case_id])["backend"]
+        spec = {"text": _CORPUS_SOURCES[backend][0], "backend": backend}
+        if backend == "sc":
+            spec["coupling"] = {"edges": [list(e) for e in linear(4).edges],
+                                "num_qubits": 4}
+        fingerprint = resolve_spec(spec).fingerprint()
+        CompileCache(tmp_path / "cache").put(fingerprint, corpus[case_id])
+
         async def scenario():
-            gateway = await make_gateway(tmp_path, speculate=True)
+            gateway = await make_gateway(tmp_path)
             client = await GatewayClient.connect(port=gateway.port)
-            cold = await client.compile(SPEC_A, "r1")   # no want_upgrade
-            assert cold["tier"] == "opt1"
-
-            async def upgraded():
-                stats = await client.stats()
-                return stats["speculative"]["spec_upgraded"] == 1
-
-            await wait_until(upgraded)
-            # The background job ran to completion, but this client never
-            # subscribed: no upgrade frame may have been pushed at it
-            # (a frame here would desynchronize pipelined clients).
-            await client.ping()                         # flush the stream
-            assert not any(k.startswith("upgrade:") for k in client._stash)
+            healed = await client.compile(spec, "r1", timeout=120)
+            assert healed["ok"] and not healed["cached"]
+            assert healed["fingerprint"] == fingerprint
+            warm = await client.compile(spec, "r2")
+            assert warm["ok"] and warm["cached"]
             await client.close()
             await gateway.close()
 
         run(scenario())
-
-    def test_speculation_off_means_full_tier_and_no_jobs(self, tmp_path):
-        async def scenario():
-            gateway = await make_gateway(tmp_path)      # speculate=False
-            client = await GatewayClient.connect(port=gateway.port)
-            cold = await client.compile(SPEC_A, "r1", want_upgrade=True)
-            assert cold["ok"] and cold["tier"] == "full"
-            stats = await client.stats()
-            spec, _ = spec_ledger(stats)
-            assert not spec["enabled"] and spec["spec_enqueued"] == 0
-            await client.close()
-            await gateway.close()
-
-        run(scenario())
-
-    def test_cancel_mid_upgrade_withdraws_the_background_job(self, tmp_path):
-        async def scenario():
-            gateway = await make_gateway(tmp_path, speculate=True)
-            client = await GatewayClient.connect(port=gateway.port)
-            # A heavy program: the opt-3 recompile takes long enough that
-            # the cancel lands while it is queued or mid-compile.
-            cold = await client.compile(SLOW_SPEC, "r1", want_upgrade=True,
-                                        timeout=240)
-            assert cold["ok"] and cold["tier"] == "opt1"
-            ack = await client.cancel("r1")
-            assert ack["state"] == "upgrade-cancelled"
-
-            async def settled():
-                stats = await client.stats()
-                spec, outcomes = spec_ledger(stats)
-                return spec["spec_enqueued"] == outcomes and \
-                    spec["in_flight"] == 0 and spec["queued"] == 0
-
-            await wait_until(settled, timeout=120)
-            stats = await client.stats()
-            spec, _ = spec_ledger(stats)
-            assert spec["spec_enqueued"] == 1
-            assert spec["spec_cancelled"] == 1
-            assert spec["spec_upgraded"] == 0
-            await client.close()
-            await gateway.close()
-
-        run(scenario())
-
-    def test_disconnect_withdraws_the_background_job(self, tmp_path):
-        async def scenario():
-            gateway = await make_gateway(tmp_path, speculate=True)
-            client = await GatewayClient.connect(port=gateway.port)
-            cold = await client.compile(SLOW_SPEC, "r1", want_upgrade=True,
-                                        timeout=240)
-            assert cold["tier"] == "opt1"
-            await client.close()                        # walk away
-
-            watcher = await GatewayClient.connect(port=gateway.port)
-
-            async def settled():
-                stats = await watcher.stats()
-                spec, outcomes = spec_ledger(stats)
-                return spec["spec_enqueued"] == outcomes and \
-                    spec["in_flight"] == 0 and spec["queued"] == 0
-
-            await wait_until(settled, timeout=120)
-            stats = await watcher.stats()
-            spec, _ = spec_ledger(stats)
-            assert spec["spec_cancelled"] == 1
-            assert spec["spec_upgraded"] == 0
-            await watcher.close()
-            await gateway.close()
-
-        run(scenario())
-
-    def test_cold_arrival_preempts_a_running_upgrade(self, tmp_path):
-        """Strict priority in the single-slot thread mode: a cold request
-        arriving while the background job holds the only compile slot
-        must still complete (the upgrade yields and requeues), and the
-        preempted job still reaches exactly one terminal outcome."""
-        async def scenario():
-            gateway = await make_gateway(tmp_path, speculate=True)
-            client = await GatewayClient.connect(port=gateway.port)
-            first = await client.compile(SLOW_SPEC, "r1", timeout=240)
-            assert first["tier"] == "opt1"
-
-            # Let the heavy background recompile claim the slot...
-            async def spec_holds_slot():
-                stats = await client.stats()
-                return stats["speculative"]["in_flight"] == 1
-
-            await wait_until(spec_holds_slot, timeout=60)
-            # ...then demand cold service.  Without preemption this would
-            # block for the whole opt-3 compile; with it the job yields.
-            cold = await client.compile(SPEC_B, "r2", timeout=240)
-            assert cold["ok"] and cold["tier"] == "opt1"
-
-            async def settled():
-                stats = await client.stats()
-                spec, outcomes = spec_ledger(stats)
-                return spec["spec_enqueued"] == outcomes and \
-                    spec["in_flight"] == 0 and spec["queued"] == 0
-
-            await wait_until(settled, timeout=240)
-            stats = await client.stats()
-            spec, outcomes = spec_ledger(stats)
-            assert spec["spec_enqueued"] == 2           # r1's and r2's
-            assert spec["spec_enqueued"] == outcomes
-            assert stats["requests"]["completed"] == 2
-            await client.close()
-            await gateway.close()
-
-        run(scenario())
-
-    def test_budget_cap_drops_overflow_without_buffering(self, tmp_path):
-        async def scenario():
-            gateway = await make_gateway(tmp_path, speculate=True,
-                                         speculative_limit=0)
-            client = await GatewayClient.connect(port=gateway.port)
-            cold = await client.compile(SPEC_A, "r1")
-            assert cold["tier"] == "opt1"               # answer unaffected
-            stats = await client.stats()
-            spec, outcomes = spec_ledger(stats)
-            assert spec["spec_enqueued"] == 1
-            assert spec["spec_dropped"] == 1
-            assert spec["spec_enqueued"] == outcomes
-            assert spec["queued"] == 0
-            await client.close()
-            await gateway.close()
-
-        run(scenario())
-
-    def test_warm_hit_on_fast_artifact_respeculates(self, tmp_path):
-        """An opt-1 artifact stranded in the cache (its upgrade was
-        dropped) is re-speculated by the next warm hit, so the store
-        converges to full tier without a cold miss."""
-        async def scenario():
-            gateway = await make_gateway(tmp_path, speculate=True,
-                                         speculative_limit=0)
-            client = await GatewayClient.connect(port=gateway.port)
-            cold = await client.compile(SPEC_A, "r1")
-            assert cold["tier"] == "opt1"               # upgrade dropped
-            gateway.config.speculative_limit = 8        # budget restored
-            warm = await client.compile(SPEC_A, "r2", want_upgrade=True)
-            assert warm["cached"] and warm["tier"] == "opt1"
-            push = await client.wait_upgrade("r2", timeout=60)
-            assert push["ok"] and push["tier"] == "full"
-            final = await client.compile(SPEC_A, "r3")
-            assert final["cached"] and final["tier"] == "full"
-            stats = await client.stats()
-            spec, outcomes = spec_ledger(stats)
-            assert spec["spec_enqueued"] == 2           # dropped + landed
-            assert spec["spec_dropped"] == 1
-            assert spec["spec_upgraded"] == 1
-            assert spec["spec_enqueued"] == outcomes
-            await client.close()
-            await gateway.close()
-
-        run(scenario())
-
-    def test_duplicate_speculation_merges_into_one_job(self, tmp_path):
-        """Two subscribed requests for one fingerprint share one
-        background job — and both get their push frame."""
-        async def scenario():
-            gateway = await make_gateway(tmp_path, speculate=True)
-            client = await GatewayClient.connect(port=gateway.port)
-            cold = await client.compile(SLOW_SPEC, "r1", want_upgrade=True,
-                                        timeout=240)
-            assert cold["tier"] == "opt1"
-            warm = await client.compile(SLOW_SPEC, "r2", want_upgrade=True,
-                                        timeout=240)
-            assert warm["cached"] and warm["tier"] == "opt1"
-            first = await client.wait_upgrade("r1", timeout=240)
-            second = await client.wait_upgrade("r2", timeout=240)
-            assert first["ok"] and second["ok"]
-            stats = await client.stats()
-            spec, outcomes = spec_ledger(stats)
-            assert spec["spec_upgraded"] == 1           # one shared job
-            assert spec["spec_enqueued"] == outcomes
-            await client.close()
-            await gateway.close()
-
-        run(scenario())
+        stored = CompileCache(tmp_path / "cache").get(fingerprint)
+        assert stored == corpus[f"v4-{backend}-full"]
 
 
 class TestProcessMode:
@@ -927,33 +730,6 @@ class TestProcessMode:
             for pid in stats["workers"]["pids"]:
                 with pytest.raises(OSError):
                     os.kill(pid, 0)
-
-        run(scenario())
-
-    def test_shared_store_upgrade_lands_via_worker_cas(self, tmp_path):
-        """Process mode: the worker performs the compare-and-swap against
-        the shared store itself, and the parent detects a landed upgrade
-        purely from the worker's ``upgraded`` counter delta."""
-        async def scenario():
-            gateway = await make_gateway(tmp_path, workers=1, speculate=True)
-            client = await GatewayClient.connect(port=gateway.port)
-            cold = await client.compile(SPEC_A, "r1", want_upgrade=True,
-                                        timeout=240)
-            assert cold["ok"] and cold["tier"] == "opt1"
-            push = await client.wait_upgrade("r1", timeout=240)
-            assert push["ok"] and push["tier"] == "full"
-            warm = await client.compile(SPEC_A, "r2")
-            assert warm["cached"] and warm["tier"] == "full"
-            stats = await client.stats()
-            spec, outcomes = spec_ledger(stats)
-            assert spec["spec_upgraded"] == 1
-            assert spec["spec_enqueued"] == outcomes
-            # Shared-store ledger: one worker put (the opt-1 publish) and
-            # one worker upgrade, each absorbed exactly once.
-            assert stats["cache"]["puts"] == 1
-            assert stats["cache"]["upgraded"] == 1
-            await client.close()
-            await gateway.close()
 
         run(scenario())
 

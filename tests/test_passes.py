@@ -88,3 +88,56 @@ class TestCustomPasses:
         pipeline = PassPipeline("naive", gco_schedule, synthesis)
         result = pipeline.run(program)
         assert result.circuit.size > 0
+
+
+SCHEDULERS = ["gco", "do", "none", "gco-stream", "do-stream"]
+
+
+class TestSchedulerDispatch:
+    """ft_compile, sc_compile and the pipelines share one name -> schedule
+    mapping (core.streaming.scheduler_pass), so they emit the same gates
+    for every scheduler name."""
+
+    @pytest.mark.parametrize("scheduler", SCHEDULERS)
+    def test_ft_pipeline_matches_ft_compile(self, program, scheduler):
+        from repro.core import ft_compile
+
+        result = ft_pipeline(scheduler).run(program)
+        reference = ft_compile(program, scheduler=scheduler)
+        assert result.circuit.gates == reference.circuit.gates
+
+    @pytest.mark.parametrize("scheduler", SCHEDULERS)
+    def test_sc_pipeline_matches_sc_compile(self, program, scheduler):
+        from repro.core import sc_compile
+
+        cmap = linear(3)
+        result = sc_pipeline(cmap, scheduler=scheduler).run(program)
+        reference = sc_compile(program, cmap, scheduler=scheduler)
+        assert result.circuit.gates == reference.circuit.gates
+
+    @pytest.mark.parametrize("scheduler", SCHEDULERS)
+    def test_every_pass_carries_its_contract(self, scheduler):
+        from repro.core import scheduler_pass
+        from repro.static.contracts import contract_for
+
+        name = f"schedule_{scheduler.replace('-', '_')}"
+        assert contract_for(scheduler_pass(scheduler),
+                            default="schedule_opaque").name == name
+
+    def test_streaming_pass_is_lazy_unless_materialized(self, program):
+        from repro.core import scheduler_pass
+
+        lazy = scheduler_pass("do-stream", materialize=False)(program)
+        assert not isinstance(lazy, list)
+        assert [list(layer) for layer in lazy] == \
+            scheduler_pass("do-stream")(program)
+
+    @pytest.mark.parametrize("name", ["bogus", None])
+    def test_unknown_name_is_a_value_error(self, name):
+        from repro.core import ft_compile, scheduler_pass
+
+        with pytest.raises(ValueError, match="unknown scheduler"):
+            scheduler_pass(name)
+        with pytest.raises(ValueError, match="unknown scheduler"):
+            ft_compile(PauliProgram.from_hamiltonian([("ZZ", 1.0)]),
+                       scheduler=name)

@@ -148,13 +148,14 @@ class TestCrossVersionDecode:
     """
 
     @staticmethod
-    def _payload_at_version(version):
+    def _payload_at_version(version, tier="full"):
         """A faithful payload of the given era: v1 predates ``device``,
-        v2 predates ``tier``/``pipeline``."""
+        v2 predates ``pipeline``, and only v3 carries a ``tier``."""
         program = parse_program("{(XYZ, 0.5), (ZZI, -0.25), 0.7};")
         payload = result_to_dict(compile_program(program, backend="ft"))
+        if version == 3:
+            payload["tier"] = tier
         if version < 3:
-            payload.pop("tier", None)
             payload.pop("pipeline", None)
         if version < 2:
             payload.pop("device", None)
@@ -162,7 +163,7 @@ class TestCrossVersionDecode:
         payload["circuit"] = {**payload["circuit"], "version": version}
         return payload
 
-    @pytest.mark.parametrize("version", [1, 2, 3])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4])
     def test_supported_versions_all_decode(self, version):
         back = result_from_dict(self._payload_at_version(version))
         reference = compile_program(
@@ -170,14 +171,15 @@ class TestCrossVersionDecode:
         )
         assert_tapes_identical(back.circuit, reference.circuit)
         assert back.backend == "ft"
-        # Era defaults: fields an old payload lacks come back as the
-        # values a current writer would have used.
+        # Era defaults: fields an old payload lacks come back as None.
         if version < 3:
-            assert back.tier == "full" and back.pipeline is None
+            assert back.pipeline is None
+        else:
+            assert back.pipeline == "ft-gco-opt3"
         if version < 2:
             assert back.device is None
 
-    @pytest.mark.parametrize("version", [0, 4, None, "2"])
+    @pytest.mark.parametrize("version", [0, 5, None, "2"])
     def test_out_of_range_versions_still_reject(self, version):
         payload = self._payload_at_version(2)
         payload["version"] = version
@@ -190,71 +192,119 @@ class TestCrossVersionDecode:
         assert OLDEST_SUPPORTED_VERSION == 1 < ARTIFACT_VERSION
         # The loads path inherits the floor: a v1 text decodes.
         text = json.dumps(self._payload_at_version(1))
-        assert loads_artifact(text).tier == "full"
+        assert loads_artifact(text).backend == "ft"
 
-    def test_v3_tier_survives_the_text_roundtrip(self):
-        from repro.service import TIER_FAST
+    @pytest.mark.parametrize("tier", ["opt0", "opt1", "opt2", "bogus"])
+    def test_v3_reduced_tier_is_rejected_as_stale(self, tier):
+        with pytest.raises(ValueError, match="stale"):
+            result_from_dict(self._payload_at_version(3, tier=tier))
 
+    def test_current_writer_emits_no_tier(self):
         program = parse_program("{(XY, 1.0), 0.5};")
-        result = compile_program(program, backend="ft", peephole_level=1)
-        assert result.tier == TIER_FAST
-        back = loads_artifact(dumps_artifact(result))
-        assert back.tier == TIER_FAST
-        assert back.pipeline == result.pipeline
+        payload = result_to_dict(compile_program(program, backend="ft"))
+        assert "tier" not in payload
+        assert payload["pipeline"] == "ft-gco-opt3"
 
 
 _ARTIFACT_CORPUS = (
     Path(__file__).parent / "corpora" / "artifact_versions.jsonl"
 )
+#: The programs (and SC target) the committed corpus documents compile.
+_CORPUS_SOURCES = {
+    "ft": ("{(XYZ, 0.5), (ZZI, -0.25), 0.7};", {}),
+    "sc": ("{(XXII, -0.3), (ZIIZ, 1.0), 0.5};", {"coupling": linear(4)}),
+}
 
 
-def _artifact_corpus_cases():
+def _artifact_corpus_cases(expect=None):
     cases = []
     for line in _ARTIFACT_CORPUS.read_text().splitlines():
         line = line.strip()
         if line and not line.startswith("#"):
-            cases.append(json.loads(line))
+            case = json.loads(line)
+            if expect is None or case["expect"] == expect:
+                cases.append(case)
     return cases
 
 
+def _canonical_text(document):
+    return json.dumps(document, sort_keys=True, separators=(",", ":"))
+
+
 class TestCommittedArtifactCorpus:
-    """Frozen artifacts from every codec era must keep decoding.
+    """Frozen artifacts from every codec era keep decoding — or, for the
+    reduced-tier v3 documents, keep being rejected as stale.
 
     The corpus is the on-disk counterpart of the cross-version matrix
-    above: real serialized documents written by v1/v2/v3 builds
-    (including reduced-tier speculative v3 artifacts), committed so a
-    future version bump that breaks the decode floor fails against
+    above: real serialized documents written by v1-v4 builds, committed
+    so a future version bump that breaks the decode floor fails against
     bytes that actually shipped, not against synthetic payloads.
     """
 
     @pytest.mark.parametrize(
-        "case", _artifact_corpus_cases(), ids=lambda case: case["id"],
+        "case", _artifact_corpus_cases("decodes"), ids=lambda case: case["id"],
     )
     def test_every_committed_era_decodes(self, case):
         result = result_from_dict(case["artifact"])
-        assert result.tier == case["expect_tier"]
         assert result.circuit.num_qubits == case["artifact"]["circuit"]["num_qubits"]
         assert list(result.circuit.gates)   # tape reconstructed, non-empty
 
     @pytest.mark.parametrize(
+        "case", _artifact_corpus_cases("stale"), ids=lambda case: case["id"],
+    )
+    def test_reduced_tier_documents_are_stale(self, case):
+        with pytest.raises(ValueError, match="stale"):
+            loads_artifact(_canonical_text(case["artifact"]))
+
+    @pytest.mark.parametrize(
         "case",
-        [c for c in _artifact_corpus_cases() if c["artifact"]["version"] == 3],
+        [c for c in _artifact_corpus_cases() if c["artifact"]["version"] == 4],
         ids=lambda case: case["id"],
     )
     def test_current_era_reserializes_byte_identically(self, case):
-        text = json.dumps(case["artifact"], sort_keys=True,
-                          separators=(",", ":"))
+        text = _canonical_text(case["artifact"])
         assert dumps_artifact(loads_artifact(text)) == text
+
+    @pytest.mark.parametrize(
+        "case", _artifact_corpus_cases("stale"), ids=lambda case: case["id"],
+    )
+    def test_stale_cache_entry_is_recompiled_at_full_effort(self, case,
+                                                             tmp_path):
+        """A reduced-tier document under a program's key is a miss:
+        ``compile_program(cache=...)`` recompiles and overwrites it with
+        the v4 full-effort artifact the current build writes."""
+        from repro.service import CompileCache
+
+        backend = case["artifact"]["backend"]
+        text, options = _CORPUS_SOURCES[backend]
+        program = parse_program(text)
+        cache = CompileCache(tmp_path)
+        fingerprint = compile_program(
+            program, backend=backend, cache=CompileCache(), **options,
+        ).fingerprint
+        cache.put(fingerprint, _canonical_text(case["artifact"]))
+
+        redone = compile_program(program, backend=backend, cache=cache,
+                                 **options)
+        assert not redone.from_cache
+        stored = cache.get(fingerprint)
+        expected = [c for c in _artifact_corpus_cases()
+                    if c["id"] == f"v4-{backend}-full"][0]["artifact"]
+        assert stored == _canonical_text(expected)
+        assert compile_program(program, backend=backend, cache=cache,
+                               **options).from_cache
 
     def test_corpus_spans_the_supported_range(self):
         from repro.service import ARTIFACT_VERSION, OLDEST_SUPPORTED_VERSION
 
-        versions = {c["artifact"]["version"] for c in _artifact_corpus_cases()}
+        cases = _artifact_corpus_cases()
+        versions = {c["artifact"]["version"] for c in cases}
         assert versions == set(
             range(OLDEST_SUPPORTED_VERSION, ARTIFACT_VERSION + 1)
         )
-        tiers = {c["expect_tier"] for c in _artifact_corpus_cases()}
-        assert "full" in tiers and {"opt1", "opt2"} <= tiers
+        stale = {c["artifact"]["tier"] for c in _artifact_corpus_cases("stale")}
+        assert stale == {"opt1", "opt2"}
+        assert {c["expect"] for c in cases} == {"decodes", "stale"}
 
 
 class TestProgramArtifacts:

@@ -71,6 +71,28 @@ class TestFingerprintStability:
         )
         assert out.stdout.strip() == FIXED_PROGRAM_FP
 
+    def test_registry_molecules_agree_across_hash_seeds(self):
+        """Regression: the molecule generator salted its RNG with
+        ``hash(name)``, so N2/H2S were different programs (and a router
+        and a node disagreed on their fingerprints) in every process."""
+        src = Path(__file__).resolve().parent.parent / "src"
+        code = (
+            "from repro.service import resolve_spec\n"
+            "for name in ('N2', 'H2S'):\n"
+            "    print(resolve_spec({'benchmark': name}).fingerprint())\n"
+        )
+        outputs = [
+            subprocess.run(
+                [sys.executable, "-c", code],
+                capture_output=True, text=True, check=True,
+                env={**os.environ, "PYTHONPATH": str(src),
+                     "PYTHONHASHSEED": seed},
+            ).stdout.split()
+            for seed in ("0", "1")
+        ]
+        assert len(outputs[0]) == 2
+        assert outputs[0] == outputs[1]
+
 
 class TestFingerprintCanonicalization:
     def test_block_reordering(self):
@@ -343,122 +365,6 @@ class TestCompileCache:
         # Valid JSON that is not an object likewise.
         cache.put(cold.fingerprint, "null")
         assert not compile_program(fixed_program(), backend="ft", cache=cache).from_cache
-
-
-def tier_text(tier, payload=0):
-    """A minimal artifact-shaped document carrying a quality tier."""
-    import json
-
-    return json.dumps({"version": 3, "kind": "result", "tier": tier,
-                       "payload": payload})
-
-
-class TestTieredCache:
-    FP = "dd" + "5" * 62
-
-    def test_put_tiered_then_upgrade_lands_in_place(self, tmp_path):
-        cache = CompileCache(tmp_path)
-        assert cache.put_tiered(self.FP, tier_text("opt1"), "opt1")
-        assert cache.stats.puts == 1 and cache.stats.upgraded == 0
-
-        full = tier_text("full")
-        assert cache.upgrade(self.FP, full)
-        assert cache.get(self.FP) == full
-        assert cache.stats.upgraded == 1
-        assert cache.stats.stale_upgrades == 0
-        # Same key on disk: the upgrade replaced, not duplicated.
-        assert len(list(cache.iter_fingerprints())) == 1
-
-    def test_upgrade_loses_cas_against_equal_or_better(self, tmp_path):
-        cache = CompileCache(tmp_path)
-        first = tier_text("full", payload=1)
-        cache.put(self.FP, first)
-        # A background recompile that arrives after a full-effort publish
-        # must leave the existing entry untouched.
-        assert not cache.upgrade(self.FP, tier_text("full", payload=2))
-        assert cache.get(self.FP) == first
-        assert cache.stats.stale_upgrades == 1 and cache.stats.upgraded == 0
-
-    def test_lower_tier_never_downgrades(self, tmp_path):
-        cache = CompileCache(tmp_path)
-        full = tier_text("full")
-        cache.put(self.FP, full)
-        assert not cache.put_tiered(self.FP, tier_text("opt1"), "opt1")
-        assert cache.get(self.FP) == full
-        assert cache.stats.stale_upgrades == 1
-        # opt2 over opt1 *does* land (strictly better).
-        other = "ee" + "6" * 62
-        cache.put_tiered(other, tier_text("opt1"), "opt1")
-        assert cache.put_tiered(other, tier_text("opt2"), "opt2")
-        assert cache.get(other) == tier_text("opt2")
-
-    def test_upgrade_of_empty_key_lands_and_counts_upgraded(self, tmp_path):
-        cache = CompileCache(tmp_path)
-        assert cache.upgrade(self.FP, tier_text("full"))
-        assert cache.stats.upgraded == 1 and cache.stats.puts == 0
-        assert cache.get(self.FP) == tier_text("full")
-
-    def test_legacy_untiered_artifact_reads_as_full(self, tmp_path):
-        """v1/v2 artifacts carry no tier field: they must rank as full,
-        so an opt-1 placeholder can never clobber one."""
-        import json
-
-        cache = CompileCache(tmp_path)
-        legacy = json.dumps({"version": 2, "kind": "result"})
-        cache.put(self.FP, legacy)
-        assert not cache.put_tiered(self.FP, tier_text("opt1"), "opt1")
-        assert cache.get(self.FP) == legacy
-
-    def test_tiered_ledger_reconciles(self, tmp_path):
-        """Every tiered publish lands in exactly one of puts / upgraded /
-        stale_upgrades."""
-        cache = CompileCache(tmp_path)
-        publishes = 0
-        for i, (tier, key) in enumerate([
-            ("opt1", "aa"), ("opt1", "aa"), ("full", "aa"), ("full", "aa"),
-            ("opt1", "bb"), ("opt2", "bb"), ("opt2", "bb"), ("full", "cc"),
-        ]):
-            cache.put_tiered(key + "0" * 62, tier_text(tier, i), tier)
-            publishes += 1
-        stats = cache.stats
-        assert (stats.puts + stats.upgraded + stats.stale_upgrades
-                == publishes)
-
-    def test_memory_only_tiered_cas(self):
-        cache = CompileCache()
-        assert cache.put_tiered(self.FP, tier_text("opt1"), "opt1")
-        assert not cache.put_tiered(self.FP, tier_text("opt1", 9), "opt1")
-        assert cache.upgrade(self.FP, tier_text("full"))
-        assert cache.get(self.FP) == tier_text("full")
-        assert cache.stats.puts == 1
-        assert cache.stats.upgraded == 1
-        assert cache.stats.stale_upgrades == 1
-
-    def test_threaded_upgrade_cas_single_winner(self, tmp_path):
-        """N racing upgraders of one opt-1 entry: exactly one lands, the
-        rest count stale, and the stored artifact is the winner's."""
-        import threading
-
-        cache = CompileCache(tmp_path)
-        cache.put_tiered(self.FP, tier_text("opt1"), "opt1")
-        barrier = threading.Barrier(8)
-        outcomes = []
-
-        def worker(n):
-            barrier.wait()
-            outcomes.append(cache.upgrade(self.FP, tier_text("full", n)))
-
-        threads = [threading.Thread(target=worker, args=(n,))
-                   for n in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert outcomes.count(True) == 1
-        assert cache.stats.upgraded == 1
-        assert cache.stats.stale_upgrades == 7
-        stored = cache.get(self.FP)
-        assert stored in {tier_text("full", n) for n in range(8)}
 
 
 class TestDiscardRaces:

@@ -290,6 +290,36 @@ class TestCanonicalization:
         out = canonicalize_gadgets([_gadget("XX", 2.0 * math.pi + 0.5)])
         assert len(out) == 1 and math.isclose(out[0].angle, 0.5)
 
+    def test_sub_tolerance_rotations_merge_before_the_zero_drop(self):
+        """Regression (differential fuzz): two YY source rotations of
+        7.45e-9 each were dropped one by one as zeros, while the peephole
+        had merged them into one 1.49e-8 rotation, which the verifier
+        then reported as an extra gadget."""
+        tiny = -7.450580596923828e-09
+        out = canonicalize_gadgets([_gadget("YY", tiny), _gadget("YY", tiny)])
+        assert len(out) == 1 and out[0].angle == 2 * tiny
+
+    def test_near_zero_gadget_never_blocks_a_merge(self):
+        out = canonicalize_gadgets(
+            [_gadget("XX", 0.3), _gadget("ZI", 1e-12), _gadget("XX", 0.4)]
+        )
+        assert [g.label for g in out] == ["XX"]
+        assert math.isclose(out[0].angle, 0.7)
+
+    def test_tiny_merged_rotations_verify_after_peephole(self):
+        from repro.service import program_from_dict
+
+        program = program_from_dict({
+            "version": 1, "kind": "pauli_program", "num_qubits": 2,
+            "blocks": [{"parameter": 6.103515625e-05, "strings": [
+                ["YY", 6.103515625e-05], ["XI", 1.0], ["YY", 6.103515625e-05],
+            ]}],
+        })
+        result = compile_program(program, backend="ft", run_peephole=False)
+        for level in range(4):
+            compiled = transpile(result.circuit, optimization_level=level)
+            verify_circuit(compiled, result.emitted_terms).raise_if_failed()
+
 
 # ----------------------------------------------------------------------
 # End-to-end verification and mutation detection

@@ -73,7 +73,7 @@ BLOCKING_METHODS = {
     # is deliberately absent: set.discard() is ubiquitous in async code
     # and would drown the signal — its disk path is caught via
     # _write_disk/read_text inside the cache itself.
-    "put", "put_tiered", "upgrade", "adopt", "pull_through",
+    "put", "adopt", "pull_through",
 }
 
 # --- RS104 tables ----------------------------------------------------------
