@@ -2,10 +2,11 @@
 
 Two families, both on the paper-scale UCCSD-8 and REG-20-4 workloads:
 
-* **Pauli kernels** — the shipped ``do_schedule`` / ``most_overlap_sort``
-  (packed :class:`~repro.pauli.symplectic.PauliTable`, cached
-  :class:`~repro.ir.BlockView` masks) against faithful copies of the
-  original per-byte scalar implementations;
+* **Pauli kernels** — the shipped ``do_schedule`` (the streaming DO pass
+  of :mod:`repro.core.streaming`, whole-program frontier) and
+  ``most_overlap_sort`` (packed :class:`~repro.pauli.symplectic.PauliTable`)
+  against faithful copies of the original per-byte scalar
+  implementations;
 * **transpile stages** — the tape-based worklist ``optimize`` and the
   incremental SABRE ``route`` (plus the full level-3
   optimize/route/re-optimize composition) against the seed

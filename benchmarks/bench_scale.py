@@ -1,18 +1,23 @@
 """Large-scale streaming compile benchmark (100-500 qubits, 10^4-10^6 terms).
 
-Measures the streaming scheduler (``core/streaming.py``) against the
-materialized reference on generator-backed scale workloads, and records the
-memory high-water marks that make the large-scale regime tractable at all:
+Times the streaming schedulers (``core/streaming.py``) on generator-backed
+scale workloads against the scalar seed oracle (``core/reference.py``), and
+records the memory high-water marks that make the large-scale regime
+tractable at all:
 
-* **scheduling speedup** — ``gco-stream`` / ``do-stream`` wall time vs the
-  materialized ``gco_schedule`` / ``do_schedule`` on the same program
-  (layer structure asserted identical before timing);
+* **scheduling** — ``gco-stream`` / ``do-stream`` wall time over the whole
+  program, against the scalar oracle's time on a fixed
+  ``ORACLE_SLICE_BLOCKS``-block slice of the same program, timed in the
+  same process.  On that slice ``gco_schedule`` / ``do_schedule`` are first
+  asserted identical to the oracle.  ``ratio`` is ``stream_s / oracle_s``;
+  ``per_block_speedup`` compares the two per-block costs;
 * **memory ceiling** — tracemalloc peak of a full ``do-stream`` drain
   (host-independent Python+numpy allocation bytes; the frontier holds at
   most ``DEFAULT_WINDOW`` realized profile rows) gated against a per-config
   absolute ceiling and the committed baseline;
-* **end-to-end** — ``ft_compile`` (+ ``sc_compile`` with ``--large``) at
-  opt 1 through the streaming path, with gate counts and peak RSS.
+* **end-to-end** — ``ft_compile`` (+ ``sc_compile`` on the 200-qubit full
+  config) through the streaming path with the full peephole cleanup, with
+  gate counts and peak RSS.
 
 Run directly::
 
@@ -21,8 +26,8 @@ Run directly::
     PYTHONPATH=src python benchmarks/bench_scale.py --large    # +500q/10^6
 
 ``--out FILE`` dumps every row as JSON (CI uploads it as an artifact);
-``--baseline FILE`` additionally fails if any speedup halves or any traced
-memory peak doubles against the committed baseline
+``--baseline FILE`` additionally fails if any scheduling ratio or any traced
+memory peak more than doubles against the committed baseline
 (``benchmarks/results/bench_scale_baseline.json``).  Exit status is
 non-zero on any gate failure.
 """
@@ -38,8 +43,9 @@ import tracemalloc
 from typing import Callable, Dict, List, NamedTuple, Optional
 
 from repro.core import compile_program
+from repro.core.reference import scalar_do_schedule, scalar_gco_schedule
 from repro.core.scheduling import do_schedule, gco_schedule
-from repro.core.streaming import DEFAULT_WINDOW, stream_schedule
+from repro.core.streaming import stream_schedule
 from repro.ir import PauliProgram
 from repro.transpile.coupling import grid
 from repro.workloads import scale_hubbard_program, scale_random_program
@@ -48,10 +54,6 @@ from repro.workloads import scale_hubbard_program, scale_random_program
 class ScaleConfig(NamedTuple):
     name: str
     build: Callable[[], PauliProgram]
-    #: materialized-reference comparison is only affordable up to ~10^4
-    #: blocks (do_schedule holds the full profile matrix and rescans it
-    #: per layer); larger configs time the streaming path alone.
-    compare_materialized: bool
     #: absolute tracemalloc ceiling (MB) for a full do-stream drain.
     mem_ceiling_mb: float
     #: which end-to-end compiles to run ("ft" always; "sc" is minutes).
@@ -61,35 +63,40 @@ class ScaleConfig(NamedTuple):
 SMOKE_CONFIGS = [
     ScaleConfig(
         "ScaleRand-60x4000", lambda: scale_random_program(60, 4_000),
-        compare_materialized=True, mem_ceiling_mb=16.0, run_sc=False,
+        mem_ceiling_mb=16.0, run_sc=False,
     ),
 ]
 
 FULL_CONFIGS = [
     ScaleConfig(
         "ScaleRand-100x10000", lambda: scale_random_program(100, 10_000),
-        compare_materialized=True, mem_ceiling_mb=32.0, run_sc=False,
+        mem_ceiling_mb=32.0, run_sc=False,
     ),
     ScaleConfig(
         "ScaleHubbard-100x30", lambda: scale_hubbard_program(50, steps=30),
-        compare_materialized=True, mem_ceiling_mb=32.0, run_sc=False,
+        mem_ceiling_mb=32.0, run_sc=False,
     ),
     ScaleConfig(
         "ScaleRand-200x100000", lambda: scale_random_program(200, 100_000),
-        compare_materialized=False, mem_ceiling_mb=128.0, run_sc=True,
+        mem_ceiling_mb=128.0, run_sc=True,
     ),
 ]
 
 LARGE_CONFIGS = [
     ScaleConfig(
         "ScaleRand-500x1000000", lambda: scale_random_program(500, 1_000_000),
-        compare_materialized=False, mem_ceiling_mb=1536.0, run_sc=False,
+        mem_ceiling_mb=1536.0, run_sc=False,
     ),
 ]
 
-#: Minimum materialized-vs-streaming speedups (same process, same box, so
-#: the ratio divides out host speed).  Kept far below the measured values
-#: (~10x gco, ~3-20x do depending on size) to alarm only on regressions.
+#: Blocks in the slice the scalar oracle schedules: the first 400 of the
+#: program, about 0.7 s of scalar ``do`` on one core.
+ORACLE_SLICE_BLOCKS = 400
+
+#: Minimum per-block speedups of the streaming pass over the scalar oracle
+#: (same process, same box, so the ratio divides out host speed).  Kept
+#: far below the measured values (~6-9x gco, ~16-33x do) to alarm only on
+#: regressions.
 SPEEDUP_FLOORS = {"gco-schedule": 2.0, "do-schedule": 1.5}
 
 
@@ -112,9 +119,9 @@ def _best_of(
     seconds each, so the first run is kept rather than discarded).
 
     ``setup`` runs untimed before every attempt; the schedulers use it to
-    drop memoized block views so each side is timed from a cold program —
-    otherwise the equality assertion (or a previous repeat) pre-pays the
-    materialized scheduler's dominant view-construction cost.
+    drop memoized block views so every attempt starts from a cold program —
+    otherwise a previous repeat pre-pays the view construction of the
+    blocks the scheduler emits.
     """
     best = float("inf")
     for _ in range(max(1, repeats)):
@@ -146,39 +153,29 @@ def bench_config(config: ScaleConfig, repeats: int) -> List[Dict]:
     print(f"{config.name}: built {program.num_blocks} blocks "
           f"in {build_s:.2f}s", flush=True)
 
-    # Streaming reproduces the materialized schedule exactly only when the
-    # frontier covers every block; the comparison rows therefore run at
-    # window >= #blocks (identical output, so the speedup is like for
-    # like), while the memory row keeps DEFAULT_WINDOW — the bounded
-    # production mode.
-    exact_window = max(DEFAULT_WINDOW, program.num_blocks)
-    if config.compare_materialized:
-        assert _signature(stream_schedule(program, "gco-stream",
-                                          window=exact_window)) == \
-            _signature(gco_schedule(program)), \
-            f"gco-stream diverged from gco_schedule on {config.name}"
-        assert _signature(stream_schedule(program, "do-stream",
-                                          window=exact_window)) == \
-            _signature(do_schedule(program)), \
-            f"do-stream diverged from do_schedule on {config.name}"
-
-    for sched, materialized in (("gco", gco_schedule), ("do", do_schedule)):
-        window = exact_window if config.compare_materialized else DEFAULT_WINDOW
+    oracle_program = PauliProgram(
+        program.blocks[:ORACLE_SLICE_BLOCKS],
+        name=f"{config.name}[:{ORACLE_SLICE_BLOCKS}]",
+    )
+    slice_blocks = oracle_program.num_blocks
+    for sched, oracle, schedule in (
+        ("gco", scalar_gco_schedule, gco_schedule),
+        ("do", scalar_do_schedule, do_schedule),
+    ):
+        assert _signature(schedule(oracle_program)) == \
+            _signature(oracle(oracle_program)), \
+            f"{sched}_schedule diverged from the scalar oracle on " \
+            f"{oracle_program.name}"
         stream_s = _best_of(
-            lambda: _drain(
-                stream_schedule(program, f"{sched}-stream", window=window)
-            ),
+            lambda: _drain(stream_schedule(program, f"{sched}-stream")),
             repeats, setup=program.release_views,
         )
+        oracle_s = _best_of(lambda: oracle(oracle_program), repeats)
         row = {"workload": config.name, "kernel": f"{sched}-schedule",
-               "stream_s": stream_s}
-        if config.compare_materialized:
-            materialized_s = _best_of(
-                lambda: materialized(program),
-                repeats, setup=program.release_views,
-            )
-            row["materialized_s"] = materialized_s
-            row["speedup"] = materialized_s / stream_s
+               "stream_s": stream_s, "oracle_s": oracle_s,
+               "ratio": stream_s / oracle_s,
+               "per_block_speedup": (oracle_s / slice_blocks)
+               / (stream_s / program.num_blocks)}
         if sched == "do":
             program.release_views()
             tracemalloc.start()
@@ -188,9 +185,10 @@ def bench_config(config: ScaleConfig, repeats: int) -> List[Dict]:
             row["tracemalloc_mb"] = peak / 2**20
             row["mem_ceiling_mb"] = config.mem_ceiling_mb
         rows.append(row)
-        print(f"{config.name}: {sched}-stream {stream_s:.2f}s"
-              + (f" ({row['speedup']:.1f}x vs materialized)"
-                 if "speedup" in row else ""), flush=True)
+        print(f"{config.name}: {sched}-stream {stream_s:.2f}s, scalar "
+              f"oracle on {slice_blocks} blocks {oracle_s:.2f}s "
+              f"(ratio {row['ratio']:.3f}, "
+              f"{row['per_block_speedup']:.1f}x per block)", flush=True)
 
     start = time.perf_counter()
     ft = compile_program(program, backend="ft", scheduler="gco-stream",
@@ -200,7 +198,7 @@ def bench_config(config: ScaleConfig, repeats: int) -> List[Dict]:
         {"workload": config.name, "kernel": "ft-compile",
          "stream_s": ft_s, "gates": ft.circuit.size, "rss_mb": _rss_mb()}
     )
-    print(f"{config.name}: ft gco-stream opt1 {ft_s:.2f}s, "
+    print(f"{config.name}: ft gco-stream {ft_s:.2f}s, "
           f"{ft.circuit.size} gates, RSS {_rss_mb():.0f} MB", flush=True)
 
     if config.run_sc:
@@ -215,37 +213,39 @@ def bench_config(config: ScaleConfig, repeats: int) -> List[Dict]:
             {"workload": config.name, "kernel": "sc-compile",
              "stream_s": sc_s, "gates": sc.circuit.size, "rss_mb": _rss_mb()}
         )
-        print(f"{config.name}: sc do-stream opt1 {sc_s:.2f}s, "
+        print(f"{config.name}: sc do-stream {sc_s:.2f}s, "
               f"{sc.circuit.size} gates, RSS {_rss_mb():.0f} MB", flush=True)
     return rows
 
 
 def _print_rows(rows: List[Dict]) -> None:
     print()
-    print(f"{'workload':<24} {'kernel':<14} {'stream':>9} {'material':>9} "
-          f"{'speedup':>8} {'mem MB':>8}")
+    print(f"{'workload':<24} {'kernel':<14} {'stream':>9} {'oracle':>9} "
+          f"{'ratio':>8} {'mem MB':>8}")
     for row in rows:
-        mat = (f"{row['materialized_s']:>8.2f}s"
-               if "materialized_s" in row else f"{'-':>9}")
-        speed = (f"{row['speedup']:>7.1f}x" if "speedup" in row
+        oracle = (f"{row['oracle_s']:>8.3f}s"
+                  if "oracle_s" in row else f"{'-':>9}")
+        ratio = (f"{row['ratio']:>8.3f}" if "ratio" in row
                  else f"{'-':>8}")
         mem = (f"{row['tracemalloc_mb']:>8.1f}" if "tracemalloc_mb" in row
                else (f"{row['rss_mb']:>8.0f}" if "rss_mb" in row
                      else f"{'-':>8}"))
         print(f"{row['workload']:<24} {row['kernel']:<14} "
-              f"{row['stream_s']:>8.2f}s {mat} {speed} {mem}")
+              f"{row['stream_s']:>8.3f}s {oracle} {ratio} {mem}")
     print()
 
 
 def check_gates(rows: List[Dict]) -> List[str]:
-    """Absolute floors: speedup per kernel, traced memory per config."""
+    """Absolute floors: per-block speedup over the scalar oracle per
+    kernel, traced memory per config."""
     problems = []
     for row in rows:
         floor = SPEEDUP_FLOORS.get(row["kernel"])
-        if floor is not None and "speedup" in row and row["speedup"] < floor:
+        if floor is not None and row["per_block_speedup"] < floor:
             problems.append(
-                f"{row['workload']}/{row['kernel']}: speedup "
-                f"{row['speedup']:.1f}x below the {floor:.1f}x floor"
+                f"{row['workload']}/{row['kernel']}: per-block speedup "
+                f"{row['per_block_speedup']:.1f}x over the scalar oracle "
+                f"below the {floor:.1f}x floor"
             )
         if "tracemalloc_mb" in row and \
                 row["tracemalloc_mb"] > row["mem_ceiling_mb"]:
@@ -258,9 +258,10 @@ def check_gates(rows: List[Dict]) -> List[str]:
 
 
 def check_baseline(rows: List[Dict], path: str) -> List[str]:
-    """Relative gates against the committed baseline: a speedup may not
-    halve and a traced memory peak may not double.  Ratios divide out host
-    speed; allocation bytes are host-independent already."""
+    """Relative gates against the committed baseline: the streaming-to-
+    oracle time ratio and the traced memory peak may not more than double.
+    The ratio divides out host speed; allocation bytes are host-independent
+    already."""
     with open(path) as handle:
         baseline = json.load(handle)["rows"]
     problems = []
@@ -269,11 +270,11 @@ def check_baseline(rows: List[Dict], path: str) -> List[str]:
         recorded = baseline.get(key)
         if recorded is None:
             continue  # larger modes add rows the smoke baseline lacks
-        if "speedup" in row and "speedup" in recorded and \
-                row["speedup"] < recorded["speedup"] / 2.0:
+        if "ratio" in row and "ratio" in recorded and \
+                row["ratio"] > recorded["ratio"] * 2.0:
             problems.append(
-                f"{key}: speedup {row['speedup']:.1f}x fell below half the "
-                f"committed baseline {recorded['speedup']:.1f}x"
+                f"{key}: stream/oracle ratio {row['ratio']:.3f} more than "
+                f"doubled the committed baseline {recorded['ratio']:.3f}"
             )
         if "tracemalloc_mb" in row and "tracemalloc_mb" in recorded and \
                 row["tracemalloc_mb"] > recorded["tracemalloc_mb"] * 2.0:
@@ -290,7 +291,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--smoke", action="store_true",
         help="fast CI mode: one 60q/4000-term config with the "
-             "materialized comparison and memory gate",
+             "scalar-oracle comparison and memory gate",
     )
     parser.add_argument(
         "--large", action="store_true",
@@ -338,7 +339,7 @@ def main(argv=None) -> int:
         print(f"FAIL: {problem}", file=sys.stderr)
     if problems:
         return 1
-    print("all scale gates passed: speedup floors held, streaming memory "
+    print("all scale gates passed: oracle ratios held, streaming memory "
           "under every ceiling")
     return 0
 

@@ -5,10 +5,10 @@ Pauli strings, not gate matrices: lexicographic sort is O(S log S), DO
 layering is near-quadratic in blocks but with tiny constants, and synthesis
 is single-pass.  This bench measures PH frontend wall time across the
 random-Hamiltonian family and asserts near-linear growth in string count —
-first on the paper-scale sizes (10^2-10^3 strings, materialized ``gco``),
-then on the streaming regime (10^4-10^5 strings, ``gco-stream``), where the
-windowed scheduler keeps growth near-linear long after the materialized
-path has gone quadratic in view construction.
+first on the paper-scale sizes (10^2-10^3 strings, ``gco``), then on the
+streaming regime (10^4-10^5 strings, ``gco-stream``), where the chunked key
+scan keeps growth near-linear long after a scheduler that builds one view
+per block has gone quadratic in view construction.
 """
 
 import time
@@ -60,8 +60,8 @@ def _time_stream_compile(num_strings: int) -> float:
 def test_streaming_scaling(results_dir):
     """10^4-10^5 strings through the streaming frontend stays near-linear.
 
-    The materialized path's per-block ``BlockView`` construction makes it
-    superlinear well before 10^5 strings; ``gco-stream`` scans compact
+    Building one ``BlockView`` per block makes a scheduler superlinear
+    well before 10^5 strings; ``gco-stream`` scans compact
     keys in chunks and must keep the 10x size step under a 30x time step
     (O(S log S) sort plus linear synthesis; 30x leaves headroom for
     allocator noise on a loaded runner, while quadratic growth would be

@@ -24,17 +24,15 @@ from .trotter import (
     trotterize,
 )
 from .scheduling import (
-    LayerProfile,
     Schedule,
     do_schedule,
     gco_schedule,
-    layer_operator_overlap,
     schedule_depth_estimate,
     schedule_to_program,
+    scheduler_pass,
 )
 from .streaming import (
     DEFAULT_WINDOW,
-    scheduler_pass,
     stream_schedule,
     streaming_do_schedule,
     streaming_gco_schedule,
@@ -69,13 +67,11 @@ __all__ = [
     "controlled_program_circuit",
     "controlled_rz_gates",
     "DEFAULT_WINDOW",
-    "LayerProfile",
     "do_schedule",
     "ft_compile",
     "ft_pipeline",
     "ft_synthesize",
     "gco_schedule",
-    "layer_operator_overlap",
     "most_overlap_sort",
     "naive_program_circuit",
     "pauli_evolution_circuit",

@@ -155,10 +155,11 @@ def compile_program(
     backend:
         ``"ft"`` or ``"sc"``.
     scheduler:
-        ``"gco"``, ``"do"``, ``"none"``, or a streaming variant
-        ``"gco-stream"`` / ``"do-stream"`` (bounded-memory scheduling for
-        10^5+-term programs, see :mod:`repro.core.streaming`); defaults
-        to the backend's preferred pass (``gco`` for FT, ``do`` for SC).
+        ``"gco"``, ``"do"``, ``"none"``, ``"gco-stream"`` (the same pass
+        as ``"gco"``) or ``"do-stream"`` (``"do"`` with its frontier
+        bounded for 10^5+-term programs, see :mod:`repro.core.streaming`);
+        defaults to the backend's preferred pass (``gco`` for FT, ``do``
+        for SC).
     coupling:
         Device coupling map; required for the SC backend.  Mutually
         exclusive with ``device``, which bundles its own.

@@ -41,8 +41,7 @@ from ..pauli.symplectic import PauliTable, popcount
 from ..static.invariants import debug_check
 from ..transpile import optimize
 from .cancellation import check_cancel
-from .scheduling import Schedule
-from .streaming import is_streaming_scheduler, scheduler_pass
+from .scheduling import Schedule, scheduler_pass
 from .synthesis import SynthesisPlan, aligned_chain_plan, pauli_rotation_gates
 
 __all__ = [
@@ -103,16 +102,14 @@ def most_overlap_sort(strings: List[Tuple[PauliString, float]]) -> List[Tuple[Pa
     return [strings[i] for i in order]
 
 
-def _flatten_schedule(
-    schedule: Schedule, release: bool = False
-) -> List[Tuple[PauliString, float]]:
+def _flatten_schedule(schedule: Schedule) -> List[Tuple[PauliString, float]]:
     """Flatten a schedule into an ordered term list with per-block
     most-overlap string ordering.
 
     Accepts any layer iterable, including the incremental iterators from
-    :mod:`repro.core.streaming`; with ``release=True`` each block's
-    memoized view is dropped as soon as its terms are extracted, so a
-    streamed million-term schedule never accumulates realized views.
+    :mod:`repro.core.streaming`.  Each block's memoized view is dropped
+    as soon as its terms are extracted, so a streamed million-term
+    schedule never accumulates realized views.
     """
     terms: List[Tuple[PauliString, float]] = []
     for layer in schedule:
@@ -123,8 +120,7 @@ def _flatten_schedule(
                 if not ws.string.is_identity
             ]
             terms.extend(most_overlap_sort(block_terms))
-            if release:
-                block.release_view()
+            block.release_view()
     return terms
 
 
@@ -339,18 +335,18 @@ def ft_compile(
 
     ``scheduler`` is ``"gco"`` (gate-count-oriented, the FT default),
     ``"do"`` (depth-oriented), ``"none"`` (program order, for ablations),
-    or a streaming variant ``"gco-stream"`` / ``"do-stream"`` that
-    schedules through :mod:`repro.core.streaming` in O(window) profile
-    memory and releases each block's view after its terms are flattened
-    — the path for 10^5-10^6-term programs.  ``junction_policy`` is
-    forwarded to :func:`ft_synthesize`; ``cancel`` is polled between
-    passes (see :mod:`repro.core.cancellation`).
+    ``"gco-stream"`` (the same pass as ``"gco"``) or ``"do-stream"``
+    (``"do"`` with its frontier bounded to O(window) profile memory, for
+    10^5-10^6-term programs).  Layers stream lazily from
+    :mod:`repro.core.streaming`, and each block's view is released once
+    its terms are flattened.  ``junction_policy`` is forwarded to
+    :func:`ft_synthesize`; ``cancel`` is polled between passes (see
+    :mod:`repro.core.cancellation`).
     """
-    streaming = is_streaming_scheduler(scheduler)
     schedule = scheduler_pass(scheduler, materialize=False)(program)
     check_cancel(cancel, "after scheduling")
     debug_check("ft: schedule", program=program)
-    terms = _flatten_schedule(schedule, release=streaming)
+    terms = _flatten_schedule(schedule)
     circuit = ft_synthesize(terms, program.num_qubits, junction_policy=junction_policy)
     check_cancel(cancel, "after synthesis")
     debug_check("ft: synthesize", tape=circuit.tape)

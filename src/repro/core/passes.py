@@ -29,15 +29,14 @@ from ..static.invariants import debug_check
 from ..transpile import CouplingMap, optimize
 from .ft_backend import _flatten_schedule, ft_synthesize
 from .sc_backend import SCSynthesizer
-from .scheduling import Schedule
-from .streaming import scheduler_pass
+from .scheduling import Schedule, scheduler_pass
 
 __all__ = ["PipelineResult", "PassPipeline", "ft_pipeline", "sc_pipeline"]
 
 # Bind the stock pass callables to their declared contracts so custom
 # pipelines assembled from them are checked precisely; unregistered
 # callables fall back to the conservative slot defaults.  (The schedule
-# passes are bound where they are dispatched, in core/streaming.py.)
+# passes are bound where they are dispatched, in core/scheduling.py.)
 register_callable(optimize, "peephole")
 
 _CHECKER = PipelineChecker()

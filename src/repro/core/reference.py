@@ -1,7 +1,7 @@
 """Scalar reference implementations of the scheduler hot paths.
 
 These are the seed's per-byte Python implementations, kept verbatim as
-*behavioral oracles*: the vectorized kernels in :mod:`repro.core.scheduling`
+*behavioral oracles*: the vectorized kernels in :mod:`repro.core.streaming`
 and :mod:`repro.core.ft_backend` must produce byte-identical schedules and
 orderings.  Tests (hypothesis equivalence) and the kernel micro-benchmark
 (``benchmarks/bench_kernels.py``) both import from here so the oracle cannot
@@ -22,6 +22,7 @@ from ..pauli import PauliString
 __all__ = [
     "scalar_most_overlap_sort",
     "scalar_layer_operator_overlap",
+    "scalar_gco_schedule",
     "scalar_do_schedule",
 ]
 
@@ -86,15 +87,22 @@ def _sorted_block(block: PauliBlock) -> PauliBlock:
     return PauliBlock(ordered, block.parameter, block.name)
 
 
+def _lex_key(block: PauliBlock) -> Tuple[int, ...]:
+    return min(ws.string.lex_key() for ws in block)
+
+
+def scalar_gco_schedule(program: PauliProgram) -> List[List[PauliBlock]]:
+    """Seed gate-count-oriented scheduler: global lexicographic block
+    order, one block per layer, fully scalar."""
+    blocks = [_sorted_block(block) for block in program]
+    blocks.sort(key=_lex_key)
+    return [[block] for block in blocks]
+
+
 def scalar_do_schedule(program: PauliProgram) -> List[List[PauliBlock]]:
     """Seed depth-oriented scheduler (Algorithm 1), fully scalar."""
     remaining = [_sorted_block(block) for block in program]
-    remaining.sort(
-        key=lambda b: (
-            -len(_active_qubits(b)),
-            min(ws.string.lex_key() for ws in b),
-        )
-    )
+    remaining.sort(key=lambda b: (-len(_active_qubits(b)), _lex_key(b)))
     layers: List[List[PauliBlock]] = []
     while remaining:
         if layers:

@@ -48,8 +48,7 @@ from ..transpile import (
     validate_routed,
 )
 from .cancellation import check_cancel
-from .scheduling import Schedule
-from .streaming import is_streaming_scheduler, scheduler_pass
+from .scheduling import Schedule, scheduler_pass
 
 __all__ = ["SCResult", "EmbeddedTree", "sc_compile", "SCSynthesizer"]
 
@@ -502,22 +501,22 @@ def sc_compile(
 ) -> SCResult:
     """Full SC flow: schedule, tree-embedded synthesis, peephole cleanup.
 
-    ``scheduler`` accepts ``"do"`` (default), ``"gco"``, ``"none"``, and
-    the streaming variants ``"do-stream"`` / ``"gco-stream"`` that
-    schedule through :mod:`repro.core.streaming` and release block views
-    after synthesis (the large-scale path).  ``restarts > 1`` re-runs the pass with jittered initial placements and
-    keeps the lowest-CNOT result (deterministic given ``seed``; the first
-    attempt is always the un-jittered layout).  The returned circuit acts on
+    ``scheduler`` accepts ``"do"`` (default), ``"gco"``, ``"none"``,
+    ``"gco-stream"`` (the same pass as ``"gco"``) and ``"do-stream"``
+    (``"do"`` with its frontier bounded to O(window) profile memory, the
+    large-scale path).  Block views are released as the last attempt
+    synthesizes them.  ``restarts > 1`` re-runs the pass with jittered
+    initial placements and keeps the lowest-CNOT result (deterministic
+    given ``seed``; the first attempt is always the un-jittered layout).  The returned circuit acts on
     physical qubits and respects the coupling map (validated on return).
     ``cancel`` is polled after scheduling and between restart attempts
     (see :mod:`repro.core.cancellation`).
     """
-    streaming = is_streaming_scheduler(scheduler)
     # The SC pass walks the schedule twice (interaction-aware layout, then
-    # synthesis) and restarts re-run it, so a streamed layer *structure*
-    # is materialized — but block views are not: the streaming scheduler
-    # never realizes them for singleton blocks, and release_views drops
-    # each one after synthesis.
+    # synthesis) and restarts re-run it, so the layer *structure* is
+    # materialized — but block views are not: the scheduler never
+    # realizes them for singleton blocks, and the last attempt drops each
+    # one after synthesis.
     schedule = scheduler_pass(scheduler)(program)
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
@@ -530,7 +529,8 @@ def sc_compile(
             check_cancel(cancel, f"before restart attempt {attempt}")
         rng = random.Random(seed + attempt) if attempt > 0 else None
         synthesizer = SCSynthesizer(
-            coupling, edge_error, rng=rng, release_views=streaming
+            coupling, edge_error, rng=rng,
+            release_views=attempt == restarts - 1,
         )
         result = synthesizer.run(schedule, program.num_qubits)
         if run_peephole:

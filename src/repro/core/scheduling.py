@@ -15,12 +15,12 @@ blocks that execute in parallel with it.
   block with the most operator overlap with the previous layer and padding
   with disjoint small blocks whose accumulated depth fits under the primary.
 
-The hot loop runs on the blocks' cached :class:`~repro.ir.BlockView` masks:
-every candidate's overlap against the previous layer is one vectorized
-popcount over pre-stacked operator-profile matrices, and the padding loop
-compares packed support masks instead of rebuilding qubit sets, so a layer
-costs O(remaining) mask operations rather than O(remaining x strings x
-weight) Python rescans.
+Both are the streaming passes of :mod:`repro.core.streaming` collected
+into lists; ``do`` runs with a frontier of the whole program.
+:func:`scheduler_pass` maps the scheduler names the compile entry points
+accept to their passes: ``gco-stream`` is ``gco`` under a second name,
+and ``do-stream`` is ``do`` with its frontier bounded to
+:data:`~repro.core.streaming.DEFAULT_WINDOW` blocks.
 
 Both passes are semantics-preserving by the Pauli IR's commutative-sum
 semantics; :func:`schedule_to_program` flattens a schedule back to a program
@@ -29,21 +29,19 @@ so the invariant can be checked (``multiset_of_terms`` is preserved).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
-
-import numpy as np
+from typing import Callable, List
 
 from ..ir import PauliBlock, PauliProgram
-from ..pauli.symplectic import popcount
+from ..static.contracts import register_callable
+from .streaming import stream_schedule
 
 __all__ = [
     "Schedule",
-    "LayerProfile",
     "gco_schedule",
     "do_schedule",
     "schedule_to_program",
     "schedule_depth_estimate",
-    "layer_operator_overlap",
+    "scheduler_pass",
 ]
 
 Schedule = List[List[PauliBlock]]
@@ -51,9 +49,22 @@ Schedule = List[List[PauliBlock]]
 
 def gco_schedule(program: PauliProgram) -> Schedule:
     """Gate-count-oriented scheduling: global lexicographic block order."""
-    blocks = [block.sorted_lexicographically() for block in program]
-    blocks.sort(key=lambda b: b.lex_key())
-    return [[block] for block in blocks]
+    return list(stream_schedule(program, "gco"))
+
+
+def do_schedule(program: PauliProgram) -> Schedule:
+    """Depth-oriented scheduling (Algorithm 1) over the whole program."""
+    return list(stream_schedule(program, "do"))
+
+
+def _windowed_do_schedule(program: PauliProgram) -> Schedule:
+    """``do-stream``: Algorithm 1 through a ``DEFAULT_WINDOW`` frontier."""
+    return list(stream_schedule(program, "do-stream"))
+
+
+def _program_order(program: PauliProgram) -> Schedule:
+    """Program order, one block per layer (the ``none`` ablation baseline)."""
+    return [[block] for block in program]
 
 
 def schedule_to_program(schedule: Schedule, name: str = "") -> PauliProgram:
@@ -64,134 +75,6 @@ def schedule_to_program(schedule: Schedule, name: str = "") -> PauliProgram:
     return PauliProgram(blocks, name=name)
 
 
-# ----------------------------------------------------------------------
-# Depth-oriented scheduling (Algorithm 1)
-# ----------------------------------------------------------------------
-
-def _layer_profile(layer: Sequence[PauliBlock]) -> np.ndarray:
-    """Accumulated packed operator profile of a layer (OR of block profiles)."""
-    profile = layer[0].view.op_profile.copy()
-    for block in layer[1:]:
-        profile |= block.view.op_profile
-    return profile
-
-
-class LayerProfile:
-    """Incrementally accumulated operator profile of a growing layer.
-
-    External callers that probe many candidate blocks against the same
-    layer (analysis sweeps, tests, the streaming frontier) previously paid
-    one :func:`_layer_profile` rebuild — O(layer) packed ORs — *per query*.
-    A ``LayerProfile`` accumulates the OR once and answers every
-    subsequent overlap query with a single vectorized popcount.
-    """
-
-    __slots__ = ("profile",)
-
-    def __init__(self, layer: Sequence[PauliBlock] = ()):
-        self.profile: np.ndarray = None
-        for block in layer:
-            self.add(block)
-
-    def add(self, block: PauliBlock) -> "LayerProfile":
-        """Fold one more block into the accumulated profile."""
-        if self.profile is None:
-            self.profile = block.view.op_profile.copy()
-        else:
-            self.profile |= block.view.op_profile
-        return self
-
-    def overlap(self, block: PauliBlock) -> int:
-        """Operator overlap of ``block`` with the accumulated layer."""
-        if self.profile is None:
-            return 0
-        return block.view.operator_overlap(self.profile)
-
-
-def layer_operator_overlap(
-    block: PauliBlock,
-    layer: Sequence[PauliBlock],
-    profile: Optional[np.ndarray] = None,
-) -> int:
-    """Number of qubits where ``block`` and ``layer`` share an identical
-    non-identity operator (the Overlap() of Algorithm 1 line 5).
-
-    ``profile`` short-circuits the per-call layer rebuild: pass the packed
-    accumulated profile (``LayerProfile(layer).profile``) when querying
-    many blocks against one layer, and the rebuild cost is paid once
-    instead of per query.
-    """
-    if profile is not None:
-        return block.view.operator_overlap(profile)
-    if not layer:
-        return 0
-    return block.view.operator_overlap(_layer_profile(layer))
-
-
-def do_schedule(program: PauliProgram) -> Schedule:
-    """Depth-oriented scheduling (Algorithm 1).
-
-    Returns layers of qubit-disjoint blocks.  Padding uses per-qubit column
-    heights so several small blocks may stack sequentially inside one layer
-    as long as no column exceeds the primary block's depth estimate.
-    """
-    remaining = [block.sorted_lexicographically() for block in program]
-    remaining.sort(key=lambda b: (-b.active_length, b.lex_key()))
-
-    views = [block.view for block in remaining]
-    profiles = np.stack([view.op_profile for view in views])     # (m, 3, nb)
-    supports = np.stack([view.support_mask for view in views])   # (m, nb)
-    depths = np.array([view.depth_estimate for view in views])
-    lengths = np.array([view.active_length for view in views])
-    alive = np.ones(len(remaining), dtype=bool)
-
-    layers: Schedule = []
-    layer_profile: np.ndarray = None
-    while alive.any():
-        idxs = np.nonzero(alive)[0]
-        if layer_profile is not None:
-            # Overlap of every remaining block with the previous layer in
-            # one shot: per-operator AND against the accumulated profile,
-            # OR across operators, popcount per row.
-            overlaps = popcount(
-                np.bitwise_or.reduce(profiles[idxs] & layer_profile, axis=1)
-            )
-            # First maximum in remaining order, ties broken by active
-            # length — the same selection max() made over the scalar list.
-            best = max(
-                range(len(idxs)), key=lambda k: (overlaps[k], lengths[idxs[k]])
-            )
-            primary = int(idxs[best])
-        else:
-            primary = int(idxs[0])
-        alive[primary] = False
-        layer = [remaining[primary]]
-        layer_profile = profiles[primary].copy()
-        primary_depth = int(depths[primary])
-        primary_support = supports[primary]
-        column_height: Dict[int, int] = {}
-
-        # Candidates that share no qubit with the primary, in remaining
-        # order.  A single in-order pass suffices: column heights only ever
-        # grow, so a block that does not fit now can never fit later.
-        idxs = np.nonzero(alive)[0]
-        disjoint = ~np.bitwise_and(supports[idxs], primary_support).any(axis=1)
-        for candidate in idxs[disjoint]:
-            candidate = int(candidate)
-            qubits = views[candidate].active_qubits
-            depth = int(depths[candidate])
-            start = max((column_height.get(q, 0) for q in qubits), default=0)
-            if start + depth > primary_depth:
-                continue
-            layer.append(remaining[candidate])
-            alive[candidate] = False
-            layer_profile |= profiles[candidate]
-            for q in qubits:
-                column_height[q] = start + depth
-        layers.append(layer)
-    return layers
-
-
 def schedule_depth_estimate(schedule: Schedule) -> int:
     """Estimated depth of a schedule: layers execute sequentially, blocks in
     a layer in parallel (up to padding stacking)."""
@@ -199,3 +82,30 @@ def schedule_depth_estimate(schedule: Schedule) -> int:
     for layer in schedule:
         total += max(block.depth_estimate() for block in layer)
     return total
+
+
+_SCHEDULE_PASSES = {
+    "gco": register_callable(gco_schedule, "schedule_gco"),
+    "gco-stream": gco_schedule,
+    "do": register_callable(do_schedule, "schedule_do"),
+    "do-stream": register_callable(_windowed_do_schedule, "schedule_do"),
+    "none": register_callable(_program_order, "schedule_none"),
+}
+
+
+def scheduler_pass(scheduler: str, materialize: bool = True) -> Callable:
+    """The schedule pass a scheduler name selects: ``gco``, ``do``,
+    ``none`` (program order), ``gco-stream`` or ``do-stream``.
+
+    With ``materialize`` on (the default) the pass returns the schedule
+    as a list, for consumers that walk it more than once; with it off a
+    ``gco``/``do`` pass returns the lazy layer iterator of
+    :func:`~repro.core.streaming.stream_schedule`.
+    """
+    try:
+        schedule_pass = _SCHEDULE_PASSES[scheduler]
+    except (KeyError, TypeError):
+        raise ValueError(f"unknown scheduler {scheduler!r}") from None
+    if materialize or scheduler == "none":
+        return schedule_pass
+    return lambda program: stream_schedule(program, scheduler)

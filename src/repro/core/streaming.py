@@ -1,52 +1,49 @@
-"""Streaming block scheduling for million-term programs.
+"""The block scheduling algorithms (paper Section 4), run as streams.
 
-`gco_schedule` and `do_schedule` (core/scheduling.py) materialize the
-whole program before emitting a single layer: every block gets a
-realized :class:`~repro.ir.BlockView` (packed table, profile, support,
-lex key) and ``do_schedule`` additionally ``np.stack``s all profiles
-into one ``(m, 3, nbytes)`` matrix.  At paper scale that is fine; at
-200 qubits and 10^5 terms the views alone are ~600 MB and the per-block
-view construction dominates wall time.
-
-This module reimplements both schedulers as *streams*:
+This module is the one implementation of the two technology-independent
+scheduling passes: gate-count-oriented (GCO, Section 4.1) and
+depth-oriented (DO, Algorithm 1 in Section 4.2).  The named passes
+``gco_schedule``/``do_schedule`` (core/scheduling.py) collect these
+streams into lists; :mod:`repro.core.reference` keeps the scalar seed
+code they are checked against.  Each pass runs in three steps:
 
 * **Scan** (:func:`scan_blocks`): one pass over the input blocks —
   accepted as a :class:`~repro.ir.PauliProgram` or any block iterable,
   including a generator — computing, in chunked batched numpy sweeps,
-  each block's compact byte lex key, active length, and depth estimate.
-  No ``BlockView`` is built; per-block state is one small ``bytes`` key
-  plus two integers.
+  each block's compact byte lex key and active length.  No
+  ``BlockView`` is built; per-block state is one small ``bytes`` key
+  plus an integer.
 * **Order**: a global sort on the compact keys.  The keys compare
   exactly like ``PauliString.lex_key`` tuples (see
-  :func:`repro.pauli.symplectic.lex_rank_matrix`), so the order matches
-  the materialized schedulers bit for bit.
-* **Emit**: layers are yielded incrementally.  The depth-oriented
-  variant keeps a *frontier window* of at most ``window`` realized
-  profile rows (refilled from the sorted order as layers drain it) and
-  runs Algorithm 1's primary selection and disjoint padding as
-  vectorized operations over the window.  Emitted blocks may be
-  released (:meth:`~repro.ir.PauliBlock.release_view`) by the consumer;
-  the scheduler itself never realizes a view for singleton blocks.
+  :func:`repro.pauli.symplectic.lex_rank_matrix`), so the order is the
+  paper's lexicographic order bit for bit.
+* **Emit**: layers are yielded incrementally.  The depth-oriented pass
+  keeps a *frontier* of realized profile rows (refilled from the sorted
+  order as layers drain it) and runs Algorithm 1's primary selection and
+  disjoint padding as vectorized operations over the frontier.  Emitted
+  blocks may be released (:meth:`~repro.ir.PauliBlock.release_view`) by
+  the consumer; the scheduler itself never realizes a view for singleton
+  blocks.
 
-Equivalence: with ``window >= len(blocks)`` the frontier holds every
-remaining block, so :func:`streaming_do_schedule` reproduces
-``do_schedule`` layer for layer and :func:`streaming_gco_schedule`
-reproduces ``gco_schedule`` exactly (property-pinned in
-tests/test_streaming.py).  With a smaller window the term multiset,
-layer disjointness, and depth-fit invariants still hold — the window
-only limits how far ahead the scheduler may look for the best primary.
+The frontier is the only knob.  ``do`` holds the whole program in it,
+which is Algorithm 1 exactly.  ``do-stream`` bounds it to ``window``
+rows (:data:`DEFAULT_WINDOW`), so profile memory is O(window) for
+million-term programs; the term multiset, layer disjointness and
+depth-fit invariants still hold, but once the program has more blocks
+than the window the primary is chosen from the frontier only, and the
+schedule can differ from ``do``.  ``gco`` needs no frontier, so
+``gco-stream`` is the same pass under a second name.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator, List, Optional, Tuple, Union
+from itertools import chain, islice
+from typing import Iterable, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
 from ..ir import PauliBlock, PauliProgram
-from ..pauli.symplectic import lex_rank_matrix, popcount
-from ..static.contracts import register_callable
-from .scheduling import Schedule, do_schedule, gco_schedule
+from ..pauli.symplectic import lex_rank_matrix, packed_as_words, popcount
 
 __all__ = [
     "DEFAULT_WINDOW",
@@ -55,13 +52,11 @@ __all__ = [
     "streaming_gco_schedule",
     "streaming_do_schedule",
     "stream_schedule",
-    "is_streaming_scheduler",
-    "scheduler_pass",
 ]
 
-#: Frontier size for :func:`streaming_do_schedule`.  4096 profile rows at
-#: 500 qubits is ~2.3 MB — invisible next to the input itself — while
-#: being far wider than any layer the paper workloads produce.
+#: Frontier size of ``do-stream``.  4096 profile rows at 500 qubits is
+#: ~2.3 MB — invisible next to the input itself — while being far wider
+#: than any layer the paper workloads produce.
 DEFAULT_WINDOW = 4096
 
 #: Strings per batched scan sweep.  Bounds the transient ``(chunk, n)``
@@ -70,11 +65,9 @@ SCAN_CHUNK_STRINGS = 16384
 
 BlockSource = Union[PauliProgram, Iterable[PauliBlock]]
 
-
-def _iter_blocks(source: BlockSource) -> Iterator[PauliBlock]:
-    if isinstance(source, PauliProgram):
-        return iter(source)
-    return iter(source)
+#: Depth of a retired frontier row: larger than any primary's depth, so a
+#: retired row never passes the padding fit test.
+_RETIRED = np.iinfo(np.int64).max
 
 
 def _chunk_codes(blocks: List[PauliBlock], num_qubits: int) -> np.ndarray:
@@ -125,24 +118,19 @@ def scan_blocks(
         # Per-block active length: popcount of the OR of string supports.
         packed = np.packbits(codes != 0, axis=1, bitorder="little")
         block_lengths = popcount(np.bitwise_or.reduceat(packed, starts, axis=0))
-        row = 0
-        for i, block in enumerate(pending):
-            k = int(counts[i])
-            if k == 1:
-                key = rank_bytes[row * n:(row + 1) * n]
+        for lo, hi in zip((starts * n).tolist(),
+                          ((starts + counts) * n).tolist()):
+            if hi - lo == n:
+                keys.append(rank_bytes[lo:hi])
             else:
-                key = min(
-                    rank_bytes[(row + j) * n:(row + j + 1) * n]
-                    for j in range(k)
-                )
-            keys.append(key)
-            lengths.append(int(block_lengths[i]))
-            row += k
+                keys.append(min([rank_bytes[o:o + n]
+                                 for o in range(lo, hi, n)]))
+        lengths.extend(block_lengths.tolist())
         blocks.extend(pending)
         pending = []
         pending_strings = 0
 
-    for block in _iter_blocks(source):
+    for block in source:
         if num_qubits == 0:
             num_qubits = block.num_qubits
         pending.append(block)
@@ -155,14 +143,15 @@ def scan_blocks(
 
 def _batch_stats(
     blocks: List[PauliBlock], num_qubits: int
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Realize ``(profiles, supports, depths)`` for a refill batch.
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Realize ``(masks, depths)`` for a refill batch.
 
     One batched sweep — a single code-matrix copy, two ``packbits``, four
     ``reduceat`` reductions — instead of one ``BlockView`` per block.
-    ``profiles`` is ``(k, 3, nbytes)`` in the X/Z/Y channel order of
-    :class:`~repro.ir.BlockView.op_profile`, ``supports`` ``(k, nbytes)``,
-    ``depths`` ``(k,)``.
+    ``masks`` is ``(k, 4, words)`` packed ``uint64``: channels 0-2 are
+    the X, Z and Y profiles (bit ``q`` set when some string of the block
+    carries that operator on qubit ``q``), channel 3 the support.
+    ``depths`` is ``(k,)``.
     """
     counts = np.fromiter(
         (b.num_strings for b in blocks), dtype=np.int64, count=len(blocks)
@@ -171,19 +160,20 @@ def _batch_stats(
     codes = _chunk_codes(blocks, num_qubits)
     x = np.packbits(codes & 1, axis=1, bitorder="little")
     z = np.packbits(codes >> 1, axis=1, bitorder="little")
-    supports = np.bitwise_or.reduceat(x | z, starts, axis=0)
-    profiles = np.stack(
+    support = x | z
+    masks = np.stack(
         [
             np.bitwise_or.reduceat(x & ~z, starts, axis=0),
             np.bitwise_or.reduceat(z & ~x, starts, axis=0),
             np.bitwise_or.reduceat(x & z, starts, axis=0),
+            np.bitwise_or.reduceat(support, starts, axis=0),
         ],
         axis=1,
     )
-    weights = popcount(x | z)
+    weights = popcount(support)
     contribution = np.where(weights > 0, 2 * (weights - 1) + 1, 0)
     depths = np.add.reduceat(contribution, starts)
-    return profiles, supports, depths
+    return packed_as_words(masks), depths
 
 
 def _emit(block: PauliBlock) -> PauliBlock:
@@ -191,21 +181,37 @@ def _emit(block: PauliBlock) -> PauliBlock:
     return block.sorted_lexicographically()
 
 
+def _scan(source: BlockSource) -> Tuple[List[PauliBlock], Optional[tuple]]:
+    """``([], scan_blocks(source))``, or ``(blocks, None)`` for a source of
+    fewer than two blocks: such a source is its own schedule, so a
+    one-block program (any QAOA program) skips the scan and the frontier."""
+    blocks = iter(source)
+    head = list(islice(blocks, 2))
+    if len(head) < 2:
+        return head, None
+    return [], scan_blocks(chain(head, blocks))
+
+
 def streaming_gco_schedule(
     source: BlockSource,
-    window: int = DEFAULT_WINDOW,
+    window: Optional[int] = None,
 ) -> Iterator[List[PauliBlock]]:
-    """Streaming gate-count-oriented scheduling.
+    """Gate-count-oriented scheduling (Section 4.1).
 
     Scans once for compact keys, sorts the keys, then yields singleton
-    layers in key order.  Equivalent to ``gco_schedule`` on any input
-    (the compact byte keys order exactly like ``PauliBlock.lex_key``),
-    but never builds a ``BlockView`` for singleton blocks and holds no
-    profile matrices at all.  ``window`` is accepted for interface
-    symmetry with :func:`streaming_do_schedule`; gco needs no frontier.
+    layers in the paper's lexicographic block order (X < Y < Z < I,
+    highest qubit first), strings inside each block sorted the same way.
+    Holds no profile matrices and never builds a ``BlockView`` for
+    singleton blocks.  ``window`` is accepted for interface symmetry with
+    :func:`streaming_do_schedule`; gco needs no frontier.
     """
     del window
-    blocks, keys, _lengths, _n = scan_blocks(source)
+    short, scanned = _scan(source)
+    if scanned is None:
+        for block in short:
+            yield [_emit(block)]
+        return
+    blocks, keys, _lengths, _n = scanned
     order = sorted(range(len(blocks)), key=keys.__getitem__)
     for index in order:
         yield [_emit(blocks[index])]
@@ -213,33 +219,37 @@ def streaming_gco_schedule(
 
 def streaming_do_schedule(
     source: BlockSource,
-    window: int = DEFAULT_WINDOW,
+    window: Optional[int] = DEFAULT_WINDOW,
 ) -> Iterator[List[PauliBlock]]:
-    """Streaming depth-oriented scheduling (Algorithm 1, windowed).
+    """Depth-oriented scheduling (Algorithm 1).
 
     Blocks are globally ordered by ``(-active_length, lex_key)`` on
     compact scan keys, then consumed through a frontier of at most
-    ``window`` realized profile rows.  Each layer picks the frontier
-    block with maximum operator overlap against the previous layer (ties
-    by active length, then order — the exact ``do_schedule`` selection)
-    and pads with qubit-disjoint frontier blocks under the primary's
-    depth, using vectorized support/depth pruning.  Profile memory is
-    O(window); with ``window >= len(blocks)`` the output equals
-    ``do_schedule`` layer for layer.
+    ``window`` realized profile rows (``None``: the whole program).
+    Each layer picks the frontier block with maximum operator overlap
+    against the previous layer (ties by active length, then order) and
+    pads with qubit-disjoint frontier blocks whose accumulated per-qubit
+    depth fits under the primary's, using vectorized support/depth
+    pruning.  Profile memory is O(window).
     """
-    if window < 1:
+    if window is not None and window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
-    blocks, keys, lengths, num_qubits = scan_blocks(source)
-    total = len(blocks)
-    if total == 0:
+    short, scanned = _scan(source)
+    if scanned is None:
+        for block in short:
+            yield [_emit(block)]
         return
+    blocks, keys, lengths, num_qubits = scanned
+    total = len(blocks)
+    if window is None:
+        window = total
     order = sorted(range(total), key=lambda i: (-int(lengths[i]), keys[i]))
     del keys
 
-    position = 0                       # next index into `order` to admit
-    f_blocks: List[PauliBlock] = []    # frontier, in global order
-    f_profiles: Optional[np.ndarray] = None
-    f_supports: Optional[np.ndarray] = None
+    position = 0                         # next index into `order` to admit
+    live = 0                             # frontier rows not yet emitted
+    f_blocks = np.empty(0, dtype=object)  # frontier, in global order
+    f_masks: Optional[np.ndarray] = None  # (F, 4, words): profile + support
     f_depths: Optional[np.ndarray] = None
     f_lengths: Optional[np.ndarray] = None
     # Encoding for "first max of (overlap, length)" via a single argmax:
@@ -248,44 +258,43 @@ def streaming_do_schedule(
 
     layer_profile: Optional[np.ndarray] = None
     while True:
-        if len(f_blocks) < window and position < total:
-            admit = order[position:position + (window - len(f_blocks))]
+        if live < window and position < total:
+            admit = order[position:position + (window - live)]
             position += len(admit)
-            batch = [blocks[i] for i in admit]
+            batch = np.empty(len(admit), dtype=object)
+            batch[:] = [blocks[i] for i in admit]
             for i in admit:
                 blocks[i] = None       # frontier owns it now; free the slot
-            profiles, supports, depths = _batch_stats(batch, num_qubits)
+            masks, depths = _batch_stats(batch, num_qubits)
             batch_lengths = lengths[admit]
-            if f_blocks:
-                f_profiles = np.concatenate([f_profiles, profiles])
-                f_supports = np.concatenate([f_supports, supports])
+            if len(f_blocks):
+                f_masks = np.concatenate([f_masks, masks])
                 f_depths = np.concatenate([f_depths, depths])
                 f_lengths = np.concatenate([f_lengths, batch_lengths])
             else:
-                f_profiles, f_supports = profiles, supports
-                f_depths, f_lengths = depths, batch_lengths
-            f_blocks.extend(batch)
-        if not f_blocks:
+                f_masks, f_depths, f_lengths = masks, depths, batch_lengths
+            f_blocks = np.concatenate([f_blocks, batch])
+            live += len(admit)
+        if not live:
             return
 
         if layer_profile is None:
             best = 0
         else:
             overlaps = popcount(
-                np.bitwise_or.reduce(f_profiles & layer_profile, axis=1)
+                np.bitwise_or.reduce(f_masks[:, :3] & layer_profile, axis=1)
             )
             best = int(np.argmax(overlaps * radix + f_lengths))
         primary_depth = int(f_depths[best])
-        primary_support = f_supports[best]
-        layer_profile = f_profiles[best].copy()
+        primary_support = f_masks[best, 3]
+        layer_profile = f_masks[best, :3].copy()
         layer = [_emit(f_blocks[best])]
 
-        removed = np.zeros(len(f_blocks), dtype=bool)
-        removed[best] = True
+        removed = [best]
         # Vectorized candidate pruning: a padding block must be disjoint
         # from the primary and its own depth must fit under the primary's
         # (start offsets only grow, so depth > primary_depth can never fit).
-        fits = ~np.bitwise_and(f_supports, primary_support).any(axis=1)
+        fits = ~(f_masks[:, 3] & primary_support).any(axis=1)
         fits &= f_depths <= primary_depth
         fits[best] = False
         candidates = np.nonzero(fits)[0]
@@ -297,8 +306,8 @@ def streaming_do_schedule(
             # first candidate whose (start + depth) fits is the next
             # accepted block, and everything before it is dead.
             bits = np.unpackbits(
-                f_supports[candidates], axis=1, bitorder="little",
-                count=num_qubits,
+                f_masks[candidates, 3].view(np.uint8), axis=1,
+                bitorder="little", count=num_qubits,
             )
             cand_depths = f_depths[candidates]
             # starts[i] == max column height over candidate i's qubits.
@@ -316,8 +325,8 @@ def streaming_do_schedule(
                 first = lo + rel
                 candidate = int(candidates[first])
                 layer.append(_emit(f_blocks[candidate]))
-                removed[candidate] = True
-                layer_profile |= f_profiles[candidate]
+                removed.append(candidate)
+                layer_profile |= f_masks[candidate, :3]
                 new_height = int(starts[first]) + int(cand_depths[first])
                 tail = bits[first + 1:]
                 if tail.size:
@@ -329,88 +338,49 @@ def streaming_do_schedule(
                     )
                 lo = first + 1
 
-        keep = ~removed
-        f_blocks = [b for b, k in zip(f_blocks, keep) if k]
-        f_profiles = f_profiles[keep]
-        f_supports = f_supports[keep]
-        f_depths = f_depths[keep]
-        f_lengths = f_lengths[keep]
+        # Emitted rows are retired in place rather than compacted away
+        # every layer: no masks (so no overlap and no support conflict),
+        # a length that scores below every live row, and a depth that
+        # never fits.  The frontier is compacted once it is half retired.
+        live -= len(removed)
+        if len(removed) == 1:
+            removed = best             # a scalar index is far cheaper
+        f_masks[removed] = 0
+        f_lengths[removed] = -radix
+        f_depths[removed] = _RETIRED
+        if 2 * live < len(f_blocks):
+            keep = f_depths != _RETIRED
+            f_blocks = f_blocks[keep]
+            f_masks = f_masks[keep]
+            f_depths = f_depths[keep]
+            f_lengths = f_lengths[keep]
         yield layer
 
 
 _STREAM_SCHEDULERS = {
-    "gco-stream": streaming_gco_schedule,
-    "do-stream": streaming_do_schedule,
     "gco": streaming_gco_schedule,
+    "gco-stream": streaming_gco_schedule,
     "do": streaming_do_schedule,
+    "do-stream": streaming_do_schedule,
 }
-
-
-def is_streaming_scheduler(name: Optional[str]) -> bool:
-    """True for the scheduler names this module serves (``*-stream``)."""
-    return isinstance(name, str) and name.endswith("-stream")
 
 
 def stream_schedule(
     source: BlockSource,
     scheduler: str,
-    window: int = DEFAULT_WINDOW,
+    window: Optional[int] = None,
 ) -> Iterator[List[PauliBlock]]:
-    """Dispatch to a streaming scheduler by name (``gco[-stream]`` /
-    ``do[-stream]``), returning the incremental layer iterator."""
-    return _streaming_scheduler(scheduler)(source, window=window)
-
-
-def _streaming_scheduler(scheduler: str) -> Callable:
+    """The incremental layer iterator of a scheduler name (``gco``,
+    ``gco-stream``, ``do`` or ``do-stream``).  ``window`` bounds the
+    ``do`` frontier; unset, it is the whole program for ``do`` and
+    :data:`DEFAULT_WINDOW` for ``do-stream``."""
     try:
-        return _STREAM_SCHEDULERS[scheduler]
-    except KeyError:
+        schedule = _STREAM_SCHEDULERS[scheduler]
+    except (KeyError, TypeError):
         raise ValueError(
             f"unknown streaming scheduler {scheduler!r}; "
             f"expected one of {sorted(_STREAM_SCHEDULERS)}"
         ) from None
-
-
-register_callable(streaming_gco_schedule, "schedule_gco_stream")
-register_callable(streaming_do_schedule, "schedule_do_stream")
-
-
-def _program_order(program: PauliProgram) -> Schedule:
-    """Program order, one block per layer (the ``none`` ablation baseline)."""
-    return [[block] for block in program]
-
-
-def _materialize(streaming: Callable, contract: str) -> Callable:
-    def schedule_pass(program: PauliProgram) -> Schedule:
-        return [list(layer) for layer in streaming(program)]
-
-    return register_callable(schedule_pass, contract)
-
-
-_SCHEDULE_PASSES = {
-    "gco": register_callable(gco_schedule, "schedule_gco"),
-    "do": register_callable(do_schedule, "schedule_do"),
-    "none": register_callable(_program_order, "schedule_none"),
-}
-_MATERIALIZED_STREAMS = {
-    "gco-stream": _materialize(streaming_gco_schedule, "schedule_gco_stream"),
-    "do-stream": _materialize(streaming_do_schedule, "schedule_do_stream"),
-}
-
-
-def scheduler_pass(scheduler: str, materialize: bool = True) -> Callable:
-    """The schedule pass a scheduler name selects: ``gco``, ``do``,
-    ``none`` (program order) or a streaming ``gco-stream``/``do-stream``.
-
-    A streaming pass returns its lazy layer iterator when ``materialize``
-    is off; with it on (the default) the layer *structure* is collected
-    into a list for consumers that walk the schedule more than once,
-    while the scan itself keeps its O(window) profile memory.
-    """
-    if is_streaming_scheduler(scheduler):
-        streaming = _streaming_scheduler(scheduler)
-        return _MATERIALIZED_STREAMS[scheduler] if materialize else streaming
-    try:
-        return _SCHEDULE_PASSES[scheduler]
-    except (KeyError, TypeError):
-        raise ValueError(f"unknown scheduler {scheduler!r}") from None
+    if window is None and scheduler == "do-stream":
+        window = DEFAULT_WINDOW
+    return schedule(source, window=window)

@@ -21,7 +21,7 @@ from typing import Iterable, Iterator, List, Sequence, Tuple
 import numpy as np
 
 from ..pauli import PauliString
-from ..pauli.symplectic import PauliTable, popcount
+from ..pauli.symplectic import PauliTable
 
 __all__ = ["WeightedString", "PauliBlock", "BlockView"]
 
@@ -58,10 +58,10 @@ class WeightedString:
 class BlockView:
     """Memoized symplectic view of one block (built lazily, kept for life).
 
-    The schedulers and synthesis passes interrogate the same block-level
-    facts over and over — support masks, per-qubit operator profiles, depth
-    estimates — and recomputing them from the scalar strings on every query
-    is what made scheduling quadratic-to-cubic.  A ``BlockView`` computes
+    The synthesis passes interrogate the same block-level facts over and
+    over — support masks, active and core qubits, depth estimates — and
+    recomputing them from the scalar strings on every query is what made
+    the seed's scheduling quadratic-to-cubic.  A ``BlockView`` computes
     them once from the block's :class:`~repro.pauli.symplectic.PauliTable`
     and caches the results as packed bit masks ready for batch arithmetic.
 
@@ -71,11 +71,6 @@ class BlockView:
         The block's strings as a :class:`PauliTable`.
     support_mask:
         Packed ``uint8`` vector; bit set where any string is non-identity.
-    op_profile:
-        ``(3, nbytes)`` packed presence masks, one row per operator
-        (``X``, ``Z``, ``Y``): bit ``q`` of row ``k`` is set when some
-        string carries that operator on qubit ``q``.  The operator overlap
-        of two profiles is ``popcount(OR_k(a[k] & b[k]))``.
     active_qubits, active_length, core_qubits, depth_estimate:
         Cached values of the like-named :class:`PauliBlock` queries.
     """
@@ -83,7 +78,6 @@ class BlockView:
     __slots__ = (
         "table",
         "support_mask",
-        "op_profile",
         "active_qubits",
         "active_length",
         "core_qubits",
@@ -99,13 +93,6 @@ class BlockView:
         self.lex_key = tuple(int(r) for r in table.lex_ranks()[self.lex_order[0]])
         supports = table.support_masks()
         self.support_mask = np.bitwise_or.reduce(supports, axis=0)
-        self.op_profile = np.stack(
-            [
-                np.bitwise_or.reduce(table.x & ~table.z, axis=0),  # X
-                np.bitwise_or.reduce(table.z & ~table.x, axis=0),  # Z
-                np.bitwise_or.reduce(table.x & table.z, axis=0),   # Y
-            ]
-        )
         self.active_qubits = _mask_to_qubits(self.support_mask, table.num_qubits)
         self.active_length = len(self.active_qubits)
         self.core_qubits = _mask_to_qubits(
@@ -114,13 +101,6 @@ class BlockView:
         weights = table.weights()
         active = weights > 0
         self.depth_estimate = int((2 * (weights[active] - 1) + 1).sum())
-
-    def operator_overlap(self, other_profile: np.ndarray) -> int:
-        """Qubits where this block and ``other_profile`` share an identical
-        non-identity operator (the Overlap() of Algorithm 1)."""
-        return int(
-            popcount(np.bitwise_or.reduce(self.op_profile & other_profile, axis=0))
-        )
 
 
 def _mask_to_qubits(mask: np.ndarray, num_qubits: int) -> Tuple[int, ...]:

@@ -829,25 +829,30 @@ class CompileGateway:
                       text: str, cached: bool, queued_ms: float,
                       compile_ms: float,
                       known_metrics: Optional[Dict] = None) -> Optional[Dict]:
-        """Build one success frame; ``None`` if the artifact is corrupt."""
+        """Build one success frame; ``None`` if the artifact is corrupt.
+
+        Every ``want`` validates the artifact the same way: it is decoded
+        unless its metrics are already memoized, so an ``ack`` is never
+        answered from a corrupt or stale stored document.
+        """
         frame = {
             "op": "compile", "id": request_id, "ok": True,
             "fingerprint": fingerprint, "cached": cached,
             "queued_ms": round(max(queued_ms, 0.0), 3),
             "compile_ms": round(compile_ms, 3),
         }
+        metrics = known_metrics
+        if metrics is None:
+            metrics = self._metrics_memo.get(fingerprint)
+            if metrics is not None:
+                self._metrics_memo.move_to_end(fingerprint)
+        if metrics is None:
+            try:
+                metrics = loads_artifact(text).metrics
+            except (ValueError, KeyError, TypeError, AttributeError):
+                return None
+            self._remember_metrics(fingerprint, metrics)
         if want in ("metrics", "artifact"):
-            metrics = known_metrics
-            if metrics is None:
-                metrics = self._metrics_memo.get(fingerprint)
-                if metrics is not None:
-                    self._metrics_memo.move_to_end(fingerprint)
-            if metrics is None:
-                try:
-                    metrics = loads_artifact(text).metrics
-                except (ValueError, KeyError, TypeError, AttributeError):
-                    return None
-                self._remember_metrics(fingerprint, metrics)
             frame["metrics"] = metrics
         if want == "artifact":
             frame["artifact"] = json.loads(text)

@@ -155,20 +155,6 @@ def _contract_table() -> Dict[str, PassContract]:
         description="Depth-oriented layered scheduling (Section 4.2).",
     ))
     add(PassContract(
-        "schedule_gco_stream",
-        establishes=frozenset({"scheduled", "blocks_commuting_grouped"}),
-        description="Streaming gate-count-oriented scheduling: compact-key "
-                    "sort plus incremental emission, O(window) realized "
-                    "profiles (core/streaming.py).",
-    ))
-    add(PassContract(
-        "schedule_do_stream",
-        establishes=frozenset({"scheduled", "blocks_commuting_grouped"}),
-        description="Streaming depth-oriented scheduling: bounded frontier "
-                    "window over the Algorithm 1 layering, O(window) "
-                    "realized profiles (core/streaming.py).",
-    ))
-    add(PassContract(
         "schedule_none",
         establishes=frozenset({"scheduled"}),
         description="Program order passthrough (ablation baseline); layers "
@@ -489,18 +475,18 @@ def shipped_pipelines() -> List[ShippedPipeline]:
     ir = frozenset({"ir_valid"})
     for level in range(4):
         rules = rules_for_level(level)
-        for scheduler in ("gco", "do", "none", "gco-stream", "do-stream"):
+        for scheduler in ("gco", "do", "none"):
             pipelines.append(ShippedPipeline(
                 f"ft-{scheduler}-opt{level}",
-                (f"schedule_{scheduler.replace('-', '_')}",
+                (f"schedule_{scheduler}",
                  "ft_synthesize", *rules),
                 initial=ir,
                 goal=frozenset({"synthesized", "terms_recorded"}),
             ))
-        for scheduler in ("gco", "do", "gco-stream", "do-stream"):
+        for scheduler in ("gco", "do"):
             pipelines.append(ShippedPipeline(
                 f"sc-{scheduler}-opt{level}",
-                (f"schedule_{scheduler.replace('-', '_')}",
+                (f"schedule_{scheduler}",
                  "sc_synthesize", *rules,
                  "validate_routed"),
                 initial=ir,

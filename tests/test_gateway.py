@@ -701,6 +701,39 @@ class TestRetiredSpeculativeSurface:
         stored = CompileCache(tmp_path / "cache").get(fingerprint)
         assert stored == corpus[f"v4-{backend}-full"]
 
+    def test_ack_warm_hit_on_stale_artifact_recompiles(self, tmp_path):
+        """An ``ack`` hit validates the stored document like ``metrics``
+        does: a stale v3 document is recompiled, not acknowledged."""
+        from repro.service import CompileCache, resolve_spec
+
+        from test_service_artifact import (
+            _CORPUS_SOURCES,
+            _artifact_corpus_cases,
+            _canonical_text,
+        )
+
+        corpus = {case["id"]: _canonical_text(case["artifact"])
+                  for case in _artifact_corpus_cases()}
+        spec = {"text": _CORPUS_SOURCES["ft"][0], "backend": "ft"}
+        fingerprint = resolve_spec(spec).fingerprint()
+        CompileCache(tmp_path / "cache").put(
+            fingerprint, corpus["v3-ft-opt1-tiered"])
+
+        async def scenario():
+            gateway = await make_gateway(tmp_path)
+            client = await GatewayClient.connect(port=gateway.port)
+            healed = await client.compile(spec, "r1", want="ack", timeout=120)
+            assert healed["ok"] and not healed["cached"]
+            assert "metrics" not in healed
+            warm = await client.compile(spec, "r2", want="ack")
+            assert warm["ok"] and warm["cached"]
+            await client.close()
+            await gateway.close()
+
+        run(scenario())
+        stored = CompileCache(tmp_path / "cache").get(fingerprint)
+        assert stored == corpus["v4-ft-full"]
+
 
 class TestProcessMode:
     """One spawn-pool round trip and the worker-death recovery path.

@@ -95,7 +95,7 @@ SCHEDULERS = ["gco", "do", "none", "gco-stream", "do-stream"]
 
 class TestSchedulerDispatch:
     """ft_compile, sc_compile and the pipelines share one name -> schedule
-    mapping (core.streaming.scheduler_pass), so they emit the same gates
+    mapping (core.scheduling.scheduler_pass), so they emit the same gates
     for every scheduler name."""
 
     @pytest.mark.parametrize("scheduler", SCHEDULERS)
@@ -120,7 +120,8 @@ class TestSchedulerDispatch:
         from repro.core import scheduler_pass
         from repro.static.contracts import contract_for
 
-        name = f"schedule_{scheduler.replace('-', '_')}"
+        # A -stream name runs its algorithm's pass, under its contract.
+        name = f"schedule_{scheduler.removesuffix('-stream')}"
         assert contract_for(scheduler_pass(scheduler),
                             default="schedule_opaque").name == name
 

@@ -7,12 +7,12 @@ from hypothesis import strategies as st
 from repro.core import (
     do_schedule,
     gco_schedule,
-    layer_operator_overlap,
     schedule_depth_estimate,
     schedule_to_program,
 )
 from repro.core.reference import (
     scalar_do_schedule,
+    scalar_gco_schedule,
     scalar_layer_operator_overlap,
 )
 from repro.ir import PauliBlock, PauliProgram
@@ -96,15 +96,17 @@ class TestDO:
 
 
 class TestLayerOverlap:
+    """Algorithm 1's Overlap(), as the scalar oracle defines it."""
+
     def test_counts_matching_ops(self):
         block_a = PauliBlock(["ZZI"])
         block_b = PauliBlock(["ZII"])
-        assert layer_operator_overlap(block_b, [block_a]) == 1
+        assert scalar_layer_operator_overlap(block_b, [block_a]) == 1
 
     def test_mismatched_ops_do_not_count(self):
         block_a = PauliBlock(["ZZI"])
         block_b = PauliBlock(["XXI"])
-        assert layer_operator_overlap(block_b, [block_a]) == 0
+        assert scalar_layer_operator_overlap(block_b, [block_a]) == 0
 
 
 @given(
@@ -138,8 +140,8 @@ def test_do_layers_are_qubit_disjoint_from_primary(labels):
 
 
 # ----------------------------------------------------------------------
-# Vectorized scheduler vs the scalar oracle (repro.core.reference keeps
-# the seed implementation, shared with benchmarks/bench_kernels.py)
+# The schedulers vs the scalar oracle (repro.core.reference keeps the
+# seed implementation, shared with benchmarks/bench_kernels.py)
 # ----------------------------------------------------------------------
 
 def _signature(schedule):
@@ -149,41 +151,28 @@ def _signature(schedule):
     ]
 
 
-@given(
+_block_lists = st.lists(
     st.lists(
-        st.lists(
-            st.text(alphabet="IXYZ", min_size=5, max_size=5).filter(
-                lambda s: set(s) != {"I"}
-            ),
-            min_size=1,
-            max_size=3,
+        st.text(alphabet="IXYZ", min_size=5, max_size=5).filter(
+            lambda s: set(s) != {"I"}
         ),
         min_size=1,
-        max_size=8,
-    )
+        max_size=3,
+    ),
+    min_size=1,
+    max_size=8,
 )
+
+
+@given(_block_lists)
 @settings(max_examples=40, deadline=None)
 def test_do_schedule_matches_scalar_reference(block_labels):
     p = prog(*block_labels)
     assert _signature(do_schedule(p)) == _signature(scalar_do_schedule(p))
 
 
-@given(
-    st.lists(
-        st.text(alphabet="IXYZ", min_size=4, max_size=4).filter(lambda s: set(s) != {"I"}),
-        min_size=1,
-        max_size=5,
-    ),
-    st.lists(
-        st.text(alphabet="IXYZ", min_size=4, max_size=4).filter(lambda s: set(s) != {"I"}),
-        min_size=1,
-        max_size=5,
-    ),
-)
+@given(_block_lists)
 @settings(max_examples=40, deadline=None)
-def test_layer_overlap_matches_scalar_reference(block_labels, layer_labels):
-    block = PauliBlock(block_labels)
-    layer = [PauliBlock(layer_labels)]
-    assert layer_operator_overlap(block, layer) == scalar_layer_operator_overlap(
-        block, layer
-    )
+def test_gco_schedule_matches_scalar_reference(block_labels):
+    p = prog(*block_labels)
+    assert _signature(gco_schedule(p)) == _signature(scalar_gco_schedule(p))

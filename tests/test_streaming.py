@@ -1,12 +1,13 @@
 """Streaming scheduler equivalence and memory-bound tests.
 
-The streaming schedulers (``core/streaming.py``) are pinned against the
-materialized references layer for layer: with the default window they must
-reproduce ``gco_schedule`` / ``do_schedule`` exactly, and with a tiny
-window they must still emit every term exactly once into qubit-disjoint
-layers.  The closed-form Hubbard generator is pinned against the operator
-expansion, and a tracemalloc ceiling checks the frontier actually bounds
-scheduling memory.
+The streaming passes (``core/streaming.py``) are the only implementation
+of GCO and DO, so they are pinned layer for layer against the scalar seed
+oracle in ``core/reference.py``: ``gco``/``gco-stream`` and ``do`` (whole-
+program frontier) must reproduce it exactly, ``do-stream`` must too while
+the program fits its window, and with a tiny window every term must still
+be emitted exactly once into qubit-disjoint layers.  The closed-form
+Hubbard generator is pinned against the operator expansion, and a
+tracemalloc ceiling checks the frontier actually bounds scheduling memory.
 """
 
 import tracemalloc
@@ -15,13 +16,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import do_schedule, gco_schedule, schedule_to_program
-from repro.core.streaming import (
-    DEFAULT_WINDOW,
-    is_streaming_scheduler,
-    scan_blocks,
-    stream_schedule,
-)
+from repro.core import schedule_to_program, scheduler_pass
+from repro.core import streaming
+from repro.core.reference import scalar_do_schedule, scalar_gco_schedule
+from repro.core.streaming import DEFAULT_WINDOW, scan_blocks, stream_schedule
 from repro.ir import PauliBlock, PauliProgram
 from repro.workloads import (
     hubbard_hamiltonian,
@@ -57,26 +55,30 @@ _block_specs = st.lists(
 
 
 # ----------------------------------------------------------------------
-# Exact equivalence to the materialized schedulers (default window)
+# Exact equivalence to the scalar oracle (default window)
 # ----------------------------------------------------------------------
 
 @given(_block_specs)
 @settings(max_examples=60, deadline=None)
-def test_gco_stream_matches_materialized(specs):
+def test_gco_stream_matches_scalar_oracle(specs):
     p = prog(*specs)
-    assert signature(stream_schedule(p, "gco-stream")) == signature(gco_schedule(p))
+    expected = signature(scalar_gco_schedule(p))
+    for scheduler in ("gco", "gco-stream"):
+        assert signature(stream_schedule(p, scheduler)) == expected
 
 
 @given(_block_specs)
 @settings(max_examples=60, deadline=None)
-def test_do_stream_matches_materialized(specs):
+def test_do_stream_matches_scalar_oracle(specs):
     p = prog(*specs)
-    assert signature(stream_schedule(p, "do-stream")) == signature(do_schedule(p))
+    expected = signature(scalar_do_schedule(p))
+    for scheduler in ("do", "do-stream"):
+        assert signature(stream_schedule(p, scheduler)) == expected
 
 
 @pytest.mark.parametrize("scheduler,reference", [
-    ("gco-stream", gco_schedule),
-    ("do-stream", do_schedule),
+    ("gco-stream", scalar_gco_schedule),
+    ("do-stream", scalar_do_schedule),
 ])
 def test_mid_scale_seeded_equivalence(scheduler, reference):
     """Layer-for-layer equality on seeded mid-scale programs: the paper's
@@ -142,12 +144,21 @@ def test_scan_keys_order_like_lex_keys():
         assert int(length) == block.active_length
 
 
-def test_is_streaming_scheduler():
-    assert is_streaming_scheduler("gco-stream")
-    assert is_streaming_scheduler("do-stream")
-    assert not is_streaming_scheduler("gco")
-    assert not is_streaming_scheduler("do")
-    assert not is_streaming_scheduler(None)
+def test_do_keeps_whole_program_frontier(monkeypatch):
+    """``do`` is Algorithm 1 over the whole program whatever the window:
+    with ``DEFAULT_WINDOW`` shrunk below the block count, ``do-stream``
+    diverges from the oracle and ``do`` does not."""
+    monkeypatch.setattr(streaming, "DEFAULT_WINDOW", 4)
+    program = scale_random_program(8, 30, seed=0)
+    expected = signature(scalar_do_schedule(program))
+    assert signature(scheduler_pass("do-stream")(program)) != expected
+    assert signature(scheduler_pass("do")(program)) == expected
+    assert signature(scheduler_pass("do", materialize=False)(program)) == \
+        expected
+
+
+def test_gco_stream_is_gco():
+    assert scheduler_pass("gco-stream") is scheduler_pass("gco")
 
 
 def test_unknown_scheduler_rejected():
@@ -184,10 +195,10 @@ def test_hubbard_generator_matches_operator_expansion(num_sites, periodic):
 
 def test_do_stream_scheduling_memory_bounded():
     """A full ``do-stream`` drain of a mid-scale program must allocate far
-    less than the materialized profile matrix would.
+    less than a whole-program profile matrix would.
 
-    8k blocks on 60 qubits materialized is 8k ``BlockView`` instances and
-    an (8k, 3, 8) profile stack that is rescanned per layer; the streaming
+    8k blocks on 60 qubits held whole is 8k ``BlockView`` instances and an
+    (8k, 3, 8) profile stack that is rescanned per layer; the ``do-stream``
     frontier realizes at most ``DEFAULT_WINDOW`` profile rows.  The 48 MB
     ceiling is ~6x the measured traced peak — tight enough to catch any
     return to whole-program materialization, loose enough for allocator
